@@ -11,10 +11,10 @@ import numpy as np
 
 from .numerics import (
     ParamDict,
-    cosine_rows_backward,
-    cosine_rows_guarded,
     softmax_masked_rows,
     softmax_rows_backward,
+    unit_rows,
+    unit_rows_backward,
 )
 
 
@@ -203,6 +203,12 @@ def alignment_loss_fwd(
     itself optimized, which blocks the degenerate all-zero-strength solution.
     ``strength_override`` freezes the weights explicitly (used by the
     finite-difference checks and by the uniform-strength ablation via ones).
+
+    Both sides are normalised to unit rows once, and one batched matmul
+    scores every source row against every target row per step: the cosines
+    are gathered from that (T, P, n_targets) block, so memory is
+    O(T * P * n_targets) and no (P, N, T, d) block is built. A zero row
+    scores 0.
     """
     if margin <= 0:
         raise ValueError("margin must be positive")
@@ -218,17 +224,20 @@ def alignment_loss_fwd(
     valid = negs >= 0
     safe_negs = np.where(valid, negs, 0)
 
-    h_pos = h_tgt[pair_targets]  # (P, T, d)
-    h_neg = h_tgt[safe_negs]  # (P, N, T, d)
-    g_pos = cosine_rows_guarded(h_src, h_pos)  # (P, T)
-    g_neg = cosine_rows_guarded(h_src[:, None], h_neg)  # (P, N, T)
+    u_src, n_src = unit_rows(h_src)  # (P, T, d)
+    u_tgt, n_tgt = unit_rows(h_tgt)  # (n_targets, T, d)
+    sim = u_src.transpose(1, 0, 2) @ u_tgt.transpose(1, 2, 0)  # (T, P, n_targets)
+    sim = np.clip(sim, -1.0, 1.0)
+    rows = np.arange(p)
+    g_pos = sim[:, rows, pair_targets].T  # (P, T)
+    g_neg = sim[:, rows[:, None], safe_negs].transpose(1, 2, 0)  # (P, N, T)
 
     if strength_override is not None:
         beta = strength_override
     elif uniform_strength:
         beta = np.ones_like(g_pos)
     else:
-        beta = strength_diagonal(ap, h_src, h_pos)
+        beta = strength_diagonal(ap, h_src, h_tgt[pair_targets])
 
     hinge = np.maximum(0.0, margin - g_pos[:, None, :] + g_neg)
     hinge = hinge * valid[..., None]
@@ -236,11 +245,9 @@ def alignment_loss_fwd(
     loss = float((beta[:, None, :] * hinge).sum() * weight)
     cache = {
         "cache_src": cache_src, "cache_tgt": cache_tgt,
-        "h_src": h_src, "h_pos": h_pos, "h_neg": h_neg,
-        "g_pos": g_pos, "g_neg": g_neg, "beta": beta, "hinge": hinge,
-        "valid": valid, "safe_negs": safe_negs, "pair_targets": pair_targets,
-        "margin": margin, "weight": weight,
-        "n_targets": target_trajs.shape[0],
+        "u_src": u_src, "n_src": n_src, "u_tgt": u_tgt, "n_tgt": n_tgt,
+        "beta": beta, "hinge": hinge, "valid": valid, "safe_negs": safe_negs,
+        "pair_targets": pair_targets, "weight": weight,
     }
     return loss, cache
 
@@ -248,28 +255,32 @@ def alignment_loss_fwd(
 def alignment_loss_bwd(
     cache: dict, ap: AlignParams, grads: ParamDict
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Return (grad wrt source trajectories, grad wrt target trajectories)."""
-    h_src, h_pos, h_neg = cache["h_src"], cache["h_pos"], cache["h_neg"]
-    beta, hinge, valid = cache["beta"], cache["hinge"], cache["valid"]
-    weight = cache["weight"]
+    """Return (grad wrt source trajectories, grad wrt target trajectories).
 
-    active = (hinge > 0.0) & valid[..., None]
-    g_hinge = beta[:, None, :] * active * weight  # (P, N, T)
-    g_gpos = -g_hinge.sum(axis=1)  # (P, T)
-    g_gneg = g_hinge
+    Hinge gradients are summed into the (T, P, n_targets) similarity block
+    (duplicate negatives add up), then carried to both sides' unit rows.
+    """
+    u_src, u_tgt = cache["u_src"], cache["u_tgt"]
+    beta, hinge = cache["beta"], cache["hinge"]
+    p, _, t_len = hinge.shape
+    n_targets = u_tgt.shape[0]
 
-    d_hsrc_pos, d_hpos = cosine_rows_backward(h_src, h_pos, g_gpos)
-    d_hsrc_neg, d_hneg = cosine_rows_backward(
-        np.broadcast_to(h_src[:, None], h_neg.shape), h_neg, g_gneg
-    )
-    grad_h_src = d_hsrc_pos + d_hsrc_neg.sum(axis=1)
+    # hinge is already zero at the -1 (invalid) negatives
+    g_hinge = beta[:, None, :] * (hinge > 0.0) * cache["weight"]  # (P, N, T)
+    rows = np.arange(p)
+    # flat (t, p, target) cells of the (T, P, n_targets) block
+    cells = (np.arange(t_len)[:, None, None] * p + rows[:, None]) * n_targets
+    g_sim = np.bincount(
+        (cells + cache["safe_negs"]).ravel(),
+        weights=g_hinge.transpose(2, 0, 1).ravel(),
+        minlength=t_len * p * n_targets,
+    ).reshape(t_len, p, n_targets)
+    g_sim[:, rows, cache["pair_targets"]] -= g_hinge.sum(axis=1).T
 
-    grad_h_tgt = np.zeros(
-        (cache["n_targets"],) + h_src.shape[1:], dtype=np.float64
-    )
-    np.add.at(grad_h_tgt, cache["pair_targets"], d_hpos)
-    np.add.at(grad_h_tgt, cache["safe_negs"].reshape(-1),
-              d_hneg.reshape((-1,) + d_hneg.shape[2:]))
+    g_u_src = (g_sim @ u_tgt.transpose(1, 0, 2)).transpose(1, 0, 2)
+    g_u_tgt = (g_sim.transpose(0, 2, 1) @ u_src.transpose(1, 0, 2)).transpose(1, 0, 2)
+    grad_h_src = unit_rows_backward(g_u_src, u_src, cache["n_src"])
+    grad_h_tgt = unit_rows_backward(g_u_tgt, u_tgt, cache["n_tgt"])
 
     grad_src_trajs = temporal_integrate_batch_bwd(
         grad_h_src, cache["cache_src"], ap, grads

@@ -60,63 +60,53 @@ def softmax_rows_backward(alpha: np.ndarray, grad_alpha: np.ndarray) -> np.ndarr
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine of two vectors; a zero vector raises.
-
-    Each vector is first divided by its largest absolute entry, so dots and
-    norms neither underflow into subnormals nor overflow for tiny or huge
-    inputs; the cosine itself is invariant to that positive rescaling.
-    """
+    """Cosine of two vectors, scaled as in ``cosine_rows_guarded``; a zero
+    vector raises."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError("cosine requires equal dimensions")
-    su = np.abs(u).max(initial=0.0)
-    sv = np.abs(v).max(initial=0.0)
-    if su == 0.0 or sv == 0.0:
+    if not (u.any() and v.any()):
         raise ValueError("undefined cosine: zero vector")
-    u = u / su
-    v = v / sv
-    return float(np.clip(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)), -1.0, 1.0))
-
-
-def cosine_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cosine along the last axis with broadcasting; zero rows raise."""
-    nu = np.linalg.norm(u, axis=-1)
-    nv = np.linalg.norm(v, axis=-1)
-    if np.any(nu == 0.0) or np.any(nv == 0.0):
-        raise ValueError("undefined cosine: zero vector")
-    return np.clip((u * v).sum(axis=-1) / (nu * nv), -1.0, 1.0)
+    return float(cosine_rows_guarded(u, v))
 
 
 def cosine_rows_guarded(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Like cosine_rows but a zero row scores 0 instead of raising.
+    """Cosine along the last axis with broadcasting; a zero row scores 0.
 
     A rectified representation can be exactly zero (dead fallback rows);
-    inside the losses that reads as neutral correspondence with a zero
-    subgradient rather than an error.
+    that reads as neutral correspondence rather than an error. Each row is
+    first divided by its largest absolute entry, so norms neither underflow
+    into subnormals nor overflow; the cosine is invariant to that rescaling.
     """
-    nu = np.linalg.norm(u, axis=-1)
-    nv = np.linalg.norm(v, axis=-1)
-    denom = nu * nv
-    dot = (u * v).sum(axis=-1)
-    out = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0)
-    return np.clip(out, -1.0, 1.0)
+    su = np.abs(u).max(axis=-1, keepdims=True)
+    sv = np.abs(v).max(axis=-1, keepdims=True)
+    uu = unit_rows(np.divide(u, su, out=np.zeros(np.shape(u)), where=su > 0))[0]
+    uv = unit_rows(np.divide(v, sv, out=np.zeros(np.shape(v)), where=sv > 0))[0]
+    return np.clip((uu * uv).sum(axis=-1), -1.0, 1.0)
 
 
-def cosine_rows_backward(
-    u: np.ndarray, v: np.ndarray, grad_cos: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of cosine along the last axis; zero rows get zero gradient."""
-    nu = np.linalg.norm(u, axis=-1, keepdims=True)
-    nv = np.linalg.norm(v, axis=-1, keepdims=True)
-    live = (nu > 0) & (nv > 0)
-    nu = np.where(nu > 0, nu, 1.0)
-    nv = np.where(nv > 0, nv, 1.0)
-    dot = (u * v).sum(axis=-1, keepdims=True)
-    g = np.asarray(grad_cos)[..., None] * live
-    du = g * (v / (nu * nv) - dot * u / (nu**3 * nv))
-    dv = g * (u / (nu * nv) - dot * v / (nu * nv**3))
-    return du, dv
+def unit_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``h`` scaled to unit length along the last axis, and their norms.
+
+    ``norms`` keeps the last axis as 1; a zero row stays zero. Unlike in
+    ``cosine_rows_guarded``, the norm is unscaled: this is on the training hot
+    path, where rows sit far from the subnormal range.
+    """
+    norms = np.linalg.norm(h, axis=-1, keepdims=True)
+    return np.divide(h, norms, out=np.zeros_like(h), where=norms > 0), norms
+
+
+def unit_rows_backward(
+    g_u: np.ndarray, u: np.ndarray, norms: np.ndarray
+) -> np.ndarray:
+    """d loss / d h from d loss / d u for ``u, norms = unit_rows(h)``.
+
+    The gradient is ``g_u`` minus its component along ``u``, divided by the
+    norm; zero rows get zero gradient.
+    """
+    g_h = g_u - (g_u * u).sum(axis=-1, keepdims=True) * u
+    return np.divide(g_h, norms, out=np.zeros_like(g_h), where=norms > 0)
 
 
 @dataclass

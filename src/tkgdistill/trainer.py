@@ -32,7 +32,7 @@ from .encoder import (
     init_network_params,
 )
 from .evaluation import EncodingCache, evaluate, score_object_queries
-from .numerics import AdamState, ParamDict, adam_step
+from .numerics import AdamState, ParamDict, adam_step, unit_rows
 from .scoring import (
     BOTH_SIDES,
     NegativeSamplerConfig,
@@ -455,13 +455,8 @@ def _mean_sim_matrix(h_src: np.ndarray, h_tgt: np.ndarray) -> np.ndarray:
 
     ``h_src`` is (ns, T, d), ``h_tgt`` (nt, T, d); returns (ns, nt).
     """
-    def unit(h):
-        norms = np.linalg.norm(h, axis=-1, keepdims=True)
-        return np.divide(h, norms, out=np.zeros_like(h), where=norms > 0)
-
-    us, ut = unit(h_src), unit(h_tgt)
-    t_len = h_src.shape[1]
-    return np.tensordot(us, ut, axes=([1, 2], [1, 2])) / t_len
+    us, ut = unit_rows(h_src)[0], unit_rows(h_tgt)[0]
+    return np.tensordot(us, ut, axes=([1, 2], [1, 2])) / h_src.shape[1]
 
 
 def train_mpkd(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,38 @@ def _loss_setup(seed, n_pairs=3, n_targets=6, t_len=4, d=5):
     return ap, src, tgt, pair_targets, excl
 
 
+def _case_setup(case, seed):
+    """(ap, src, tgt, pair_targets, excl, neg_factor) for one loss case.
+
+    ``dead_negative``: target 5 has an all-zero trajectory, so its
+    integration is zero, and it is drawn as a negative. ``duplicate_negatives``:
+    6 negatives from a 4-target vocabulary repeat targets within a row.
+    ``irreducible_exclusion``: row 0 excludes every target, so its negatives
+    are -1.
+    """
+    if case == "duplicate_negatives":
+        return (*_loss_setup(seed, n_targets=4), 6)
+    ap, src, tgt, pair_targets, excl = _loss_setup(seed)
+    if case == "dead_negative":
+        tgt[5] = 0.0
+    elif case == "irreducible_exclusion":
+        excl[0] = set(range(tgt.shape[0]))
+    return ap, src, tgt, pair_targets, excl, 3
+
+
+def _assert_case_reached(case, cache):
+    negs, valid = cache["safe_negs"], cache["valid"]
+    if case == "dead_negative":
+        assert (negs[valid] == 5).any()
+    elif case == "duplicate_negatives":
+        assert any(len(set(row)) < len(row) for row in negs.tolist())
+    elif case == "irreducible_exclusion":
+        assert not valid[0].any() and valid[1:].all()
+
+
+EDGE_CASES = ["dead_negative", "duplicate_negatives", "irreducible_exclusion"]
+
+
 class TestAlignmentLoss:
     def test_inactive_hinge_zero(self):
         ap, src, _, pair_targets, excl = _loss_setup(0)
@@ -206,14 +240,20 @@ class TestAlignmentLoss:
                 np.random.default_rng(0),
             )
 
-    def test_matches_bruteforce_recomputation(self):
-        ap, src, tgt, pair_targets, excl = _loss_setup(4)
+    @pytest.mark.parametrize("case", ["plain"] + EDGE_CASES)
+    def test_matches_bruteforce_recomputation(self, case):
+        ap, src, tgt, pair_targets, excl, n_neg = _case_setup(case, 4)
         rng = np.random.default_rng(7)
         loss, cache = alignment_loss_fwd(
-            ap, src, tgt, pair_targets, excl, 3, 0.5, rng
+            ap, src, tgt, pair_targets, excl, n_neg, 0.5, rng
         )
+        _assert_case_reached(case, cache)
         h_src, _ = temporal_integrate_batch_fwd(ap, src)
         h_tgt, _ = temporal_integrate_batch_fwd(ap, tgt)
+
+        def cos(a, b, t):  # a dead (zero) row scores 0
+            return correspondence(a, b, t) if b[t - 1].any() else 0.0
+
         beta, negs, valid = cache["beta"], cache["safe_negs"], cache["valid"]
         total = 0.0
         p, n, t_len = cache["hinge"].shape
@@ -222,10 +262,32 @@ class TestAlignmentLoss:
                 for t in range(1, t_len + 1):
                     if not valid[i, j]:
                         continue
-                    g_pos = correspondence(h_src[i], h_tgt[pair_targets[i]], t)
-                    g_neg = correspondence(h_src[i], h_tgt[negs[i, j]], t)
+                    g_pos = cos(h_src[i], h_tgt[pair_targets[i]], t)
+                    g_neg = cos(h_src[i], h_tgt[negs[i, j]], t)
                     total += beta[i, t - 1] * max(0.0, 0.5 - g_pos + g_neg)
         assert loss == pytest.approx(total / (p * n * t_len), rel=1e-10)
+
+    def test_memory_bounded_at_paper_operating_point(self):
+        # d=128, 50 negatives, batch 256, T=28: a gathered (P, N, T, d)
+        # negative block alone would take 367 MB
+        p, n_targets, t_len, d = 256, 200, 28, 128
+        rng = np.random.default_rng(0)
+        ap = init_align_params(d, seed=1)
+        src = small_traj(rng, p, t_len, d)
+        tgt = small_traj(rng, n_targets, t_len, d)
+        pair_targets = rng.integers(0, n_targets, size=p)
+        excl = [{int(i)} for i in pair_targets]
+        tracemalloc.start()
+        try:
+            _, cache = alignment_loss_fwd(
+                ap, src, tgt, pair_targets, excl, 50, 0.5,
+                np.random.default_rng(2),
+            )
+            alignment_loss_bwd(cache, ap, ap.zero_grads())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20
 
     def test_negative_exclusions_respected(self):
         ap, src, tgt, pair_targets, _ = _loss_setup(5, n_targets=8)
@@ -239,18 +301,31 @@ class TestAlignmentLoss:
 
 
 class TestAlignmentGradients:
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_phi_gradient(self, seed):
-        ap, src, tgt, pair_targets, excl = _loss_setup(seed)
+    @pytest.mark.parametrize(
+        "case, seed",
+        [pytest.param("plain", 0, id="0"), pytest.param("plain", 1, id="1")]
+        + [pytest.param(case, 0, id=case) for case in EDGE_CASES],
+    )
+    def test_phi_gradient(self, case, seed):
+        ap, src, tgt, pair_targets, excl, n_neg = _case_setup(case, seed)
         h_src, _ = temporal_integrate_batch_fwd(ap, src)
         h_tgt, _ = temporal_integrate_batch_fwd(ap, tgt)
         beta0 = strength_diagonal(ap, h_src, h_tgt[pair_targets])
 
-        def lg(p):
-            loss, cache = alignment_loss_fwd(
-                ap, src, tgt, pair_targets, excl, 3, 0.5003,
+        def fwd():
+            return alignment_loss_fwd(
+                ap, src, tgt, pair_targets, excl, n_neg, 0.5003,
                 np.random.default_rng(42), strength_override=beta0,
             )
+
+        _, cache = fwd()
+        _assert_case_reached(case, cache)
+        _, g_tgt = alignment_loss_bwd(cache, ap, ap.zero_grads())
+        if case == "dead_negative":  # a zero row gets zero gradient
+            assert not g_tgt[5].any()
+
+        def lg(p):
+            loss, cache = fwd()
             grads = ap.zero_grads()
             alignment_loss_bwd(cache, ap, grads)
             return loss, grads

@@ -7,6 +7,7 @@ from tkgdistill.numerics import (
     AdamState,
     adam_step,
     cosine,
+    cosine_rows_guarded,
     grad_check,
     softmax_masked,
 )
@@ -87,6 +88,15 @@ class TestCosine:
             return
         assert abs(cosine(a * u, b * v) - cosine(u, v)) <= 1e-12
         assert -1.0 <= cosine(u, v) <= 1.0
+
+    def test_rows_guarded_scales_tiny_rows_and_zeroes_dead_ones(self):
+        # u . u is subnormal; an unscaled norm loses digits (error 2.8e-12)
+        u = np.array([0.0, 3.944130112988549e-157])
+        v = u[::-1] + 0.5
+        rows_u = np.stack([u, np.zeros(2)])
+        got = cosine_rows_guarded(2.0 * rows_u, np.stack([v, v]))
+        assert abs(got[0] - cosine_rows_guarded(u, v)) <= 1e-12
+        assert got[1] == 0.0
 
 
 class TestGradCheck:
