@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ParamDict, softmax_masked_rows, softmax_rows_backward
+from .numerics import ParamDict, add_rows_at, softmax_masked_rows, softmax_rows_backward
 from .tkg import TemporalKG
 
 
@@ -104,46 +104,57 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched single-layer path: all requested entities at one time step.
+# Batched single-layer path: all requested (entity, time) rows in one call.
 # ---------------------------------------------------------------------------
+
+
+def time_table(params: NetworkParams, max_gap: int) -> np.ndarray:
+    """(max_gap + 1, d) table whose row g is ``time_encode(params, g)``."""
+    d = params.time_freq.shape[0]
+    gaps = np.arange(max_gap + 1, dtype=np.int64)[:, None]
+    return np.sqrt(1.0 / d) * np.cos(params.time_freq * gaps)
 
 
 def encode_batch_fwd(
     params: NetworkParams,
     kg: TemporalKG,
     ids: np.ndarray,
-    t: int,
+    t,
     b: int,
     dropout_rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
     """One aggregation layer for every entity in ``ids`` at time ``t``.
 
-    Entities without history fall back to ReLU(h0 @ W). Attention logits
-    score each (neighbor, relation, time-gap) triple against the shared
-    attention vector; weights are a masked softmax over the sampled
-    neighbors.
+    ``t`` is one time for all rows or one time per row. Entities without
+    history fall back to ReLU(h0 @ W). Attention logits score each
+    (neighbor, relation, time-gap) triple against the shared attention
+    vector; those three terms are looked up from per-entity, per-relation
+    and per-gap tables. Weights are a masked softmax over the sampled
+    neighbors. The dropout mask is drawn in one call, row by row, so rows
+    sorted by time draw what one call per time group would.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    d = params.dim
+    t = np.asarray(t, dtype=np.int64)
     nbr, rel, tim, mask = kg.neighbor_arrays(ids, t, b)
     has_nb = mask.any(axis=1)
 
     h_c = params.entity_emb[ids]  # (n, d)
-    h_n = params.entity_emb[nbr] * mask[..., None]  # (n, b, d)
-    h_r = params.relation_emb[rel] * mask[..., None]
-    delta = (t - tim) * mask
-    kappa = np.sqrt(1.0 / d) * np.cos(params.time_freq * delta[..., None])
+    # Padded slots hold entity 0 but get exactly zero attention weight, so
+    # they add nothing to ``agg`` or to any gradient; h_n stays unmasked.
+    h_n = params.entity_emb[nbr]  # (n, b, d)
+    delta = (t.reshape(-1, 1) - tim) * mask
+    kappa_tab = time_table(params, int(delta.max(initial=0)))
 
-    a1, a2, a3, a4 = np.split(params.attn_a, 4)
+    a1, a2, a3, a4 = params.attn_a.reshape(4, -1)
     logits = (
         (h_c @ a1)[:, None]
-        + h_n @ a2
-        + h_r @ a3
-        + kappa @ a4
+        + (params.entity_emb @ a2)[nbr]
+        + (params.relation_emb @ a3)[rel]
+        + (kappa_tab @ a4)[delta]
     )
     alpha = softmax_masked_rows(logits, mask)  # no-history rows come back zero
 
-    agg = (alpha[..., None] * h_n).sum(axis=1)
+    agg = (alpha[:, None, :] @ h_n)[:, 0]
     agg = np.where(has_nb[:, None], agg, h_c)  # fallback aggregates the raw row
     msg = agg @ params.transform_W
     if dropout_rng is not None and params.dropout_rate > 0.0:
@@ -153,21 +164,25 @@ def encode_batch_fwd(
         dmask = None
     out = np.maximum(msg, 0.0)
     cache = {
-        "ids": ids, "t": t, "nbr": nbr, "rel": rel, "tim": tim, "mask": mask,
-        "has_nb": has_nb, "h_c": h_c, "h_n": h_n, "h_r": h_r,
-        "kappa": kappa, "alpha": alpha, "agg": agg, "msg": msg, "dmask": dmask,
+        "ids": ids, "nbr": nbr, "rel": rel, "tim": tim, "mask": mask,
+        "delta": delta, "kappa_tab": kappa_tab, "has_nb": has_nb, "h_c": h_c,
+        "h_n": h_n, "alpha": alpha, "agg": agg, "msg": msg, "dmask": dmask,
     }
     return out, cache
+
+
+def _sum_by(idx: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """(n,) sums of ``weights`` grouped by table row ``idx``."""
+    return np.bincount(idx.reshape(-1), weights=weights.reshape(-1), minlength=n)
 
 
 def encode_batch_bwd(
     grad_out: np.ndarray, cache: dict, params: NetworkParams, grads: ParamDict
 ) -> None:
     """Accumulate d loss / d (entity_emb, relation_emb, transform_W, attn_a)."""
-    ids, nbr, rel = cache["ids"], cache["nbr"], cache["rel"]
-    mask, has_nb = cache["mask"], cache["has_nb"]
-    h_c, h_n, h_r = cache["h_c"], cache["h_n"], cache["h_r"]
-    kappa, alpha, agg = cache["kappa"], cache["alpha"], cache["agg"]
+    ids, nbr, mask, has_nb = cache["ids"], cache["nbr"], cache["mask"], cache["has_nb"]
+    h_c, h_n, alpha, agg = cache["h_c"], cache["h_n"], cache["alpha"], cache["agg"]
+    kappa_tab = cache["kappa_tab"]
 
     g_msg = grad_out * (cache["msg"] > 0.0)
     if cache["dmask"] is not None:
@@ -178,35 +193,34 @@ def encode_batch_bwd(
     g_hc = np.where(has_nb[:, None], 0.0, g_agg)  # fallback path
     g_agg = np.where(has_nb[:, None], g_agg, 0.0)
 
-    g_alpha = (g_agg[:, None, :] * h_n).sum(axis=-1)
-    g_hn = alpha[..., None] * g_agg[:, None, :]
+    g_alpha = (h_n @ g_agg[:, :, None])[..., 0]
+    # zero on padded slots, where alpha is zero
+    g_logits = softmax_rows_backward(alpha, g_alpha)
 
-    g_logits = softmax_rows_backward(alpha, g_alpha) * mask
+    # The neighbor, relation and time-gap terms are table lookups: their
+    # logit gradients sum per table row. kappa depends only on frozen
+    # frequencies; no gradient flows further.
+    a1, a2, a3, _ = params.attn_a.reshape(4, -1)
+    g_row = g_logits.sum(axis=1)
+    g_hc += g_row[:, None] * a1
+    g_nbr = _sum_by(nbr, g_logits, params.n_entities)
+    g_rel = _sum_by(cache["rel"], g_logits, params.relation_emb.shape[0])
+    g_gap = _sum_by(cache["delta"], g_logits, kappa_tab.shape[0])
 
-    a1, a2, a3, a4 = np.split(params.attn_a, 4)
-    g_hc += g_logits.sum(axis=1)[:, None] * a1
-    g_hn += g_logits[..., None] * a2
-    g_hr = g_logits[..., None] * a3
-    # kappa depends only on frozen frequencies; no gradient flows further.
-
-    flat_logits = g_logits.reshape(-1)
     ga = grads["attn_a"].reshape(4, -1)
-    ga[0] += g_logits.sum(axis=1) @ h_c
-    ga[1] += flat_logits @ h_n.reshape(-1, h_n.shape[-1])
-    ga[2] += flat_logits @ h_r.reshape(-1, h_r.shape[-1])
-    ga[3] += flat_logits @ kappa.reshape(-1, kappa.shape[-1])
+    ga[0] += g_row @ h_c
+    ga[1] += g_nbr @ params.entity_emb
+    ga[2] += g_rel @ params.relation_emb
+    ga[3] += g_gap @ kappa_tab
+    grads["entity_emb"] += g_nbr[:, None] * a2
+    grads["relation_emb"] += g_rel[:, None] * a3
 
-    np.add.at(grads["entity_emb"], ids, g_hc)
-    flat_mask = mask.reshape(-1)
-    np.add.at(
+    # messages: each live neighbor slot passes alpha * g_agg to its entity
+    rows, slots = np.nonzero(mask)
+    add_rows_at(
         grads["entity_emb"],
-        nbr.reshape(-1)[flat_mask],
-        g_hn.reshape(-1, g_hn.shape[-1])[flat_mask],
-    )
-    np.add.at(
-        grads["relation_emb"],
-        rel.reshape(-1)[flat_mask],
-        g_hr.reshape(-1, g_hr.shape[-1])[flat_mask],
+        np.concatenate([ids, nbr[rows, slots]]),
+        np.concatenate([g_hc, alpha[rows, slots, None] * g_agg[rows]]),
     )
 
 
@@ -224,18 +238,17 @@ def _encode_rec_fwd(params, kg, e, t, layer, b):
         msg = params.entity_emb[e] @ params.transform_W
         out = np.maximum(msg, 0.0)
         return out, {"kind": "fallback", "e": e, "msg": msg}
-    d = params.dim
     subs, h_n, h_r, kap = [], [], [], []
     for (e_k, r_k, t_k) in neighbors:
         h_k, cache_k = _encode_rec_fwd(params, kg, e_k, t_k, layer - 1, b)
         subs.append(cache_k)
         h_n.append(h_k)
         h_r.append(params.relation_emb[r_k])
-        kap.append(np.sqrt(1.0 / d) * np.cos(params.time_freq * (t - t_k)))
+        kap.append(time_encode(params, t - t_k))
     h_n = np.stack(h_n)
     h_r = np.stack(h_r)
     kap = np.stack(kap)
-    a1, a2, a3, a4 = np.split(params.attn_a, 4)
+    a1, a2, a3, a4 = params.attn_a.reshape(4, -1)
     logits = h_c @ a1 + h_n @ a2 + h_r @ a3 + kap @ a4
     alpha = softmax_masked_rows(logits, np.ones_like(logits, dtype=bool))
     agg = alpha @ h_n
@@ -267,7 +280,7 @@ def _encode_rec_bwd(grad_out, cache, params, grads):
     g_alpha = h_n @ g_agg
     g_hn = alpha[:, None] * g_agg[None, :]
     g_logits = softmax_rows_backward(alpha, g_alpha)
-    a1, a2, a3, a4 = np.split(params.attn_a, 4)
+    a1, a2, a3, _ = params.attn_a.reshape(4, -1)
     g_hc = g_logits.sum() * a1
     g_hn += g_logits[:, None] * a2
     ga = grads["attn_a"].reshape(4, -1)
@@ -320,31 +333,32 @@ def encode_entity_bwd(grad_out, cache, params, grads):
 def encode_many_fwd(
     params: NetworkParams,
     kg: TemporalKG,
-    pairs: list[tuple[int, int]],
+    pairs,
     b: int,
     layers: int = 1,
     dropout_rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Encode unique (entity, time) pairs, grouped by time for batching."""
-    out = np.zeros((len(pairs), params.dim))
+    """Encode unique (entity, time) pairs, given as a sequence or a (k, 2) array.
+
+    One ``encode_batch_fwd`` call covers every pair, its rows stably sorted
+    by time, so dropout draws match one call per time step in ascending order.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if layers != 1:
+        out = np.zeros((len(pairs), params.dim))
         caches = []
-        for i, (e, t) in enumerate(pairs):
+        for i, (e, t) in enumerate(pairs.tolist()):
             h, c = encode_entity_fwd(params, kg, e, t, layers, b)
             out[i] = h
             caches.append(c)
         return out, {"mode": "rec", "caches": caches}
-    by_time: dict[int, list[int]] = {}
-    for i, (_, t) in enumerate(pairs):
-        by_time.setdefault(t, []).append(i)
-    groups = []
-    for t in sorted(by_time):
-        idx = np.asarray(by_time[t], dtype=np.int64)
-        ids = np.asarray([pairs[i][0] for i in idx], dtype=np.int64)
-        h, cache = encode_batch_fwd(params, kg, ids, t, b, dropout_rng)
-        out[idx] = h
-        groups.append((idx, cache))
-    return out, {"mode": "batch", "groups": groups}
+    order = np.argsort(pairs[:, 1], kind="stable")
+    h, cache = encode_batch_fwd(
+        params, kg, pairs[order, 0], pairs[order, 1], b, dropout_rng
+    )
+    out = np.empty_like(h)
+    out[order] = h
+    return out, {"mode": "batch", "order": order, "cache": cache}
 
 
 def encode_many_bwd(grad_out, cache, params, grads) -> None:
@@ -352,8 +366,7 @@ def encode_many_bwd(grad_out, cache, params, grads) -> None:
         for g, c in zip(grad_out, cache["caches"]):
             encode_entity_bwd(g, c, params, grads)
         return
-    for idx, sub in cache["groups"]:
-        encode_batch_bwd(grad_out[idx], sub, params, grads)
+    encode_batch_bwd(grad_out[cache["order"]], cache["cache"], params, grads)
 
 
 def encode_trajectory(

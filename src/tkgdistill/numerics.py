@@ -1,4 +1,5 @@
-"""Dense numerical core: masked softmax, cosine, Adam, finite-difference checks.
+"""Dense numerical core: masked softmax, row scatters, cosine, Adam,
+finite-difference checks.
 
 All arithmetic is float64. Parameter collections are plain ``dict[str, np.ndarray]``
 so the optimizer and the gradient checker stay agnostic of model structure.
@@ -57,6 +58,21 @@ def softmax_rows_backward(alpha: np.ndarray, grad_alpha: np.ndarray) -> np.ndarr
     """d loss / d logits for a row-wise softmax with weights ``alpha``."""
     inner = (alpha * grad_alpha).sum(axis=-1, keepdims=True)
     return alpha * (grad_alpha - inner)
+
+
+def add_rows_at(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """``out[idx[i]] += rows[i]`` for every i, summing duplicate indices.
+
+    ``np.add.at`` semantics through one weighted ``np.bincount`` over the
+    flattened (row, column) cells; each cell's sum is formed apart from
+    ``out`` and then added, so results can differ from ``np.add.at`` in the
+    last bits.
+    """
+    n, d = out.shape
+    cells = (np.asarray(idx, dtype=np.int64).reshape(-1, 1) * d + np.arange(d)).ravel()
+    out += np.bincount(
+        cells, weights=np.asarray(rows).reshape(-1), minlength=n * d
+    ).reshape(n, d)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

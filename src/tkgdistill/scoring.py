@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import NetworkParams, encode_many_bwd, encode_many_fwd
-from .numerics import ParamDict
+from .numerics import ParamDict, add_rows_at
 from .tkg import Quadruple, TemporalKG
 
 OBJECT_ONLY = "object-only"
@@ -85,6 +85,34 @@ def _sample_negatives(
     return negs, valid
 
 
+def _intern_rows(
+    forms: np.ndarray, negs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unique (entity, time) pairs the batch scores, and each slot's row.
+
+    ``pairs`` is (k, 2) in order of first appearance over subjects, then
+    objects, then negatives row by row; ``subj_rows`` (F,), ``obj_rows``
+    (F,) and ``neg_rows`` (F, N) index into it.
+    """
+    n_forms, n_negs = negs.shape
+    times = forms[:, 3]
+    ents = np.concatenate([forms[:, 0], forms[:, 2], negs.reshape(-1)])
+    tims = np.concatenate([times, times, np.repeat(times, n_negs)])
+    keys = tims * (int(ents.max(initial=0)) + 1) + ents
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # np.unique ranks keys by value; re-rank them by first appearance
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    rows = rank[inverse.reshape(-1)]
+    at = first[by_first]
+    pairs = np.stack([ents[at], tims[at]], axis=1)
+    return (
+        pairs, rows[:n_forms], rows[n_forms:2 * n_forms],
+        rows[2 * n_forms:].reshape(n_forms, n_negs),
+    )
+
+
 def reasoning_loss_fwd(
     params: NetworkParams,
     kg: TemporalKG,
@@ -110,24 +138,7 @@ def reasoning_loss_fwd(
         forms[:, 2], params.n_entities, neg_cfg.factor, rng
     )
 
-    pairs: list[tuple[int, int]] = []
-    index: dict[tuple[int, int], int] = {}
-
-    def row_of(e: int, t: int) -> int:
-        key = (e, t)
-        if key not in index:
-            index[key] = len(pairs)
-            pairs.append(key)
-        return index[key]
-
-    subj_rows = np.array([row_of(int(s), int(t)) for s, _, _, t in forms])
-    obj_rows = np.array([row_of(int(o), int(t)) for _, _, o, t in forms])
-    neg_rows = np.array(
-        [
-            [row_of(int(e), int(t)) for e in row]
-            for row, t in zip(negs, forms[:, 3])
-        ]
-    )
+    pairs, subj_rows, obj_rows, neg_rows = _intern_rows(forms, negs)
     reps, enc_cache = encode_many_fwd(params, kg, pairs, b, layers, dropout_rng)
 
     h_s = reps[subj_rows]
@@ -175,14 +186,14 @@ def reasoning_loss_bwd(
     g_rel += contrib.sum(axis=1)
 
     grad_reps = np.zeros_like(cache["reps"])
-    np.add.at(grad_reps, cache["subj_rows"], g_hs)
-    np.add.at(grad_reps, cache["obj_rows"], g_ho)
-    np.add.at(
+    add_rows_at(
         grad_reps,
-        cache["neg_rows"].reshape(-1),
-        g_hn.reshape(-1, g_hn.shape[-1]),
+        np.concatenate(
+            [cache["subj_rows"], cache["obj_rows"], cache["neg_rows"].reshape(-1)]
+        ),
+        np.concatenate([g_hs, g_ho, g_hn.reshape(-1, g_hn.shape[-1])]),
     )
-    np.add.at(grads["relation_emb"], forms[:, 1], g_rel)
+    add_rows_at(grads["relation_emb"], forms[:, 1], g_rel)
     encode_many_bwd(grad_reps, cache["enc_cache"], params, grads)
 
 

@@ -167,25 +167,31 @@ class TemporalKG:
         return self._windows[b]
 
     def neighbor_arrays(
-        self, ids: np.ndarray, t: int, b: int
+        self, ids: np.ndarray, t, b: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Padded (nbr, rel, time, mask) arrays of shape (len(ids), b) at time ``t``."""
+        """Padded (nbr, rel, time, mask) arrays of shape (len(ids), b).
+
+        ``t`` is one time for every row or one time per row of ``ids``.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        t = np.broadcast_to(np.asarray(t, dtype=np.int64), ids.shape)
         cells = len(self.entities) * (self.horizon + 1) * b
         if cells <= self._WINDOW_TABLE_LIMIT:
             nbr, rel, tim, mask = self._window_table(b)
-            t = min(t, self.horizon)
+            # no entry lies before a time below 0; index -1 would wrap
+            t = np.clip(t, 0, self.horizon)
             return nbr[ids, t], rel[ids, t], tim[ids, t], mask[ids, t]
         n = len(ids)
         nbr = np.zeros((n, b), dtype=np.int64)
         rel = np.zeros((n, b), dtype=np.int64)
         tim = np.zeros((n, b), dtype=np.int64)
         mask = np.zeros((n, b), dtype=bool)
-        for row, e in enumerate(ids):
-            entry = self._adjacency.get(int(e))
+        for row, (e, t_row) in enumerate(zip(ids.tolist(), t.tolist())):
+            entry = self._adjacency.get(e)
             if entry is None:
                 continue
             times, nbrs, rels = entry
-            hi = int(np.searchsorted(times, t, side="left"))
+            hi = int(np.searchsorted(times, t_row, side="left"))
             lo = max(0, hi - b)
             k = hi - lo
             if k:
@@ -197,10 +203,6 @@ class TemporalKG:
 
     def with_quadruples(self, quadruples: Sequence[Quadruple]) -> "TemporalKG":
         return TemporalKG(self.entities, self.relations, quadruples, self.horizon)
-
-    def restricted(self, lo: int, hi: int) -> list[Quadruple]:
-        """Quadruples with lo <= time < hi, in stored order."""
-        return [q for q in self.quadruples if lo <= q.time < hi]
 
 
 @dataclass
@@ -224,17 +226,8 @@ class AlignmentSet:
     def target_entities(self) -> set[int]:
         return {p.target_entity for p in self.pairs}
 
-    def source_entities(self) -> set[int]:
-        return {p.source_entity for p in self.pairs}
-
     def targets_of(self, source: int) -> set[int]:
         return {p.target_entity for p in self.pairs if p.source_entity == source}
-
-    def ground_truth(self) -> "AlignmentSet":
-        return AlignmentSet([p for p in self.pairs if p.provenance == GROUND_TRUTH])
-
-    def pseudo(self) -> "AlignmentSet":
-        return AlignmentSet([p for p in self.pairs if p.provenance == PSEUDO])
 
 
 @dataclass(frozen=True)
@@ -272,6 +265,16 @@ def _parse_time(text: str, path: str, lineno: int) -> int:
     if t < 0:
         raise ValueError(f"{path}:{lineno}: negative time {t}")
     return t
+
+
+def _parse_confidence(text: str, path: str, lineno: int) -> float:
+    try:
+        conf = float(text)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: bad confidence value {text!r}") from None
+    if not np.isfinite(conf):
+        raise ValueError(f"{path}:{lineno}: non-finite confidence {text!r}")
+    return conf
 
 
 def load_quadruples(
@@ -389,7 +392,9 @@ def load_alignments(
                 fields = line.rstrip("\n").split("\t")
                 if len(fields) not in (2, 3):
                     raise ValueError(f"{path}:{lineno}: expected 2 or 3 fields")
-                conf = float(fields[2]) if len(fields) == 3 else 1.0
+                conf = 1.0
+                if len(fields) == 3:
+                    conf = _parse_confidence(fields[2], path, lineno)
                 try:
                     pairs.append(
                         AlignmentPair(

@@ -9,11 +9,13 @@ from tkgdistill.encoder import (
     encode_entity,
     encode_entity_bwd,
     encode_entity_fwd,
+    encode_many_bwd,
+    encode_many_fwd,
     encode_trajectory,
     init_network_params,
     time_encode,
 )
-from tkgdistill.numerics import grad_check
+from tkgdistill.numerics import grad_check, softmax_masked_rows
 from tkgdistill.tkg import Quadruple, TemporalKG, Vocabulary
 
 from conftest import random_kg
@@ -158,6 +160,109 @@ class TestEncoderGradients:
             return float((head * out).sum()), grads
 
         assert grad_check(lg, params.trainable(), 1e-5, 1e-5).passed
+
+
+# Rows computed in different batch compositions may round differently, since
+# BLAS need not sum a row the same way for every batch shape. Each output
+# entry sums at most d + b products of order-one factors, so two float64
+# evaluations agree within (d + b) * eps of the result's scale. Fixed from
+# the dtype here, before any measurement.
+def _assert_float64_close(got, want, n_terms):
+    bound = 2.0 * n_terms * np.finfo(np.float64).eps * max(np.abs(want).max(), 1.0)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= bound
+
+
+def _rows_and_times(seed, kg, n):
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, len(kg.entities), n)
+    ts = rng.integers(0, kg.horizon + 1, n)  # the horizon itself included
+    return ids, ts
+
+
+class TestPerRowTimes:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_stacked_per_time_calls(self, seed):
+        kg = random_kg(np.random.default_rng(seed), n_entities=9, horizon=10, n_events=40)
+        params = init_network_params(9, 3, 8, seed=seed, dropout_rate=0.5)
+        ids, ts = _rows_and_times(seed, kg, 60)
+        order = np.argsort(ts, kind="stable")
+        ids, ts = ids[order], ts[order]
+        out, cache = encode_batch_fwd(
+            params, kg, ids, ts, 3, np.random.default_rng(seed)
+        )
+        ref_rng = np.random.default_rng(seed)
+        for t in np.unique(ts):
+            sel = ts == t
+            want, ref = encode_batch_fwd(params, kg, ids[sel], int(t), 3, ref_rng)
+            assert np.array_equal(cache["dmask"][sel], ref["dmask"])
+            for key in ("nbr", "rel", "tim", "mask", "delta"):
+                assert np.array_equal(cache[key][sel], ref[key])
+            _assert_float64_close(cache["alpha"][sel], ref["alpha"], 8 + 3)
+            _assert_float64_close(out[sel], want, 8 + 3)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_encode_many_matches_per_time_group_loop(self, seed):
+        """One call over unsorted pairs against one call per time step, in
+        ascending time, each group in pair order (the dropout stream's order)."""
+        kg = random_kg(np.random.default_rng(seed), n_entities=9, horizon=10, n_events=40)
+        params = init_network_params(9, 3, 8, seed=seed, dropout_rate=0.5)
+        ids, ts = _rows_and_times(seed, kg, 50)
+        pairs = list(zip(ids.tolist(), ts.tolist()))
+        out, cache = encode_many_fwd(params, kg, pairs, 3, 1, np.random.default_rng(seed))
+
+        ref_rng = np.random.default_rng(seed)
+        grad_out = np.random.default_rng(seed + 1).normal(size=out.shape)
+        grads, ref_grads = params.zero_grads(), params.zero_grads()
+        encode_many_bwd(grad_out, cache, params, grads)
+        for t in sorted(set(ts.tolist())):
+            idx = [i for i, (_, ti) in enumerate(pairs) if ti == t]
+            want, ref = encode_batch_fwd(params, kg, ids[idx], t, 3, ref_rng)
+            _assert_float64_close(out[idx], want, 8 + 3)
+            encode_batch_bwd(grad_out[idx], ref, params, ref_grads)
+        # a gradient entry sums a few (d + b)-term products over every row
+        for name in grads:
+            _assert_float64_close(grads[name], ref_grads[name], 4 * (8 + 3) * len(pairs))
+
+    def test_lookup_logits_match_dense_blocks(self):
+        """The per-entity, per-relation and per-gap lookups against the
+        (n, b, d) neighbor, relation and time-encoding blocks they replace."""
+        kg = random_kg(np.random.default_rng(5), n_entities=9, horizon=10, n_events=40)
+        params = init_network_params(9, 3, 8, seed=5, dropout_rate=0.0)
+        ids, ts = _rows_and_times(5, kg, 40)
+        _, cache = encode_batch_fwd(params, kg, ids, ts, 4)
+        nbr, rel, mask, delta = cache["nbr"], cache["rel"], cache["mask"], cache["delta"]
+        d = params.dim
+        kappa = np.sqrt(1.0 / d) * np.cos(params.time_freq * delta[..., None])
+        assert np.array_equal(cache["kappa_tab"][delta], kappa)
+        h_n = params.entity_emb[nbr] * mask[..., None]
+        h_r = params.relation_emb[rel] * mask[..., None]
+        a1, a2, a3, a4 = np.split(params.attn_a, 4)
+        logits = (
+            (params.entity_emb[ids] @ a1)[:, None] + h_n @ a2 + h_r @ a3 + kappa @ a4
+        )
+        _assert_float64_close(cache["alpha"], softmax_masked_rows(logits, mask), 4 * d)
+        assert np.array_equal(cache["alpha"] == 0.0, ~mask)
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_gradient_with_per_row_times_and_dropout(self, seed):
+        rng = np.random.default_rng(seed)
+        kg = random_kg(rng, n_entities=7, horizon=8, n_events=25)
+        params = init_network_params(7, 3, 5, seed=seed, dropout_rate=0.3)
+        ids = np.array([0, 2, 5, 2, 6, 1])
+        ts = np.array([1, 3, 3, 6, 8, 8])
+        head = rng.normal(size=(len(ids), 5))
+
+        def lg(p):
+            out, cache = encode_batch_fwd(
+                params, kg, ids, ts, 3, np.random.default_rng(seed)
+            )
+            grads = params.zero_grads()
+            encode_batch_bwd(head, cache, params, grads)
+            return float((head * out).sum()), grads
+
+        report = grad_check(lg, params.trainable(), 1e-5, 1e-5)
+        assert report.passed, str(report)
 
 
 class TestTrajectory:

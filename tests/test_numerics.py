@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tkgdistill.numerics import (
     AdamState,
     adam_step,
+    add_rows_at,
     cosine,
     cosine_rows_guarded,
     grad_check,
@@ -183,6 +184,49 @@ class TestGradCheck:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             grad_check(lambda p: (0.0, {}), {}, step=0.0)
+
+
+class TestAddRowsAt:
+    @staticmethod
+    def _reference(out, idx, rows):
+        want = out.copy()
+        np.add.at(want, idx, rows)
+        return want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_add_at_on_duplicate_indices(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d, m = 9, 5, 400
+        out0 = rng.normal(size=(n, d))
+        idx = rng.integers(0, n - 2, size=m)  # heavy duplicates, two rows untouched
+        rows = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-3, 4, size=(m, 1))
+        # Both sum each cell's k terms in float64, in different orders; each
+        # stays within k * eps of the absolute sum, so they differ by at most
+        # twice that. The bound is fixed here, from the dtype, not measured.
+        mult = np.bincount(idx, minlength=n)[:, None]
+        abs_sum = self._reference(np.abs(out0), idx, np.abs(rows))
+        bound = 2.0 * (mult + 1) * np.finfo(np.float64).eps * abs_sum
+        got = out0.copy()
+        add_rows_at(got, idx, rows)
+        want = self._reference(out0, idx, rows)
+        assert np.all(np.abs(got - want) <= bound)
+        assert np.array_equal(got[n - 2:], out0[n - 2:])
+
+    def test_exact_on_integers_and_unique_indices(self):
+        out = np.arange(12.0).reshape(4, 3)
+        idx = np.array([2, 0, 2, 2])
+        rows = np.arange(12.0).reshape(4, 3)
+        want = self._reference(out, idx, rows)
+        add_rows_at(out, idx, rows)
+        assert np.array_equal(out, want)
+        out = np.zeros((4, 3))
+        add_rows_at(out, np.array([3, 1]), rows[:2])
+        assert np.array_equal(out, self._reference(np.zeros((4, 3)), [3, 1], rows[:2]))
+
+    def test_empty_index_is_no_op(self):
+        out = np.ones((3, 2))
+        add_rows_at(out, np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+        assert np.array_equal(out, np.ones((3, 2)))
 
 
 class TestAdam:

@@ -7,6 +7,7 @@ from tkgdistill.scoring import (
     BOTH_SIDES,
     OBJECT_ONLY,
     NegativeSamplerConfig,
+    _intern_rows,
     reasoning_loss,
     reasoning_loss_bwd,
     reasoning_loss_fwd,
@@ -57,6 +58,56 @@ class TestNegativeSampler:
         negs, valid = cache["negs"], cache["valid"]
         true_obj = cache["forms"][:, 2]
         assert not (negs[valid] == np.broadcast_to(true_obj[:, None], negs.shape)[valid]).any()
+
+
+def _intern_rows_loop(forms, negs):
+    """Dict-based interning: the reference for ``_intern_rows``."""
+    pairs, index = [], {}
+
+    def row_of(e, t):
+        key = (int(e), int(t))
+        if key not in index:
+            index[key] = len(pairs)
+            pairs.append(key)
+        return index[key]
+
+    subj_rows = np.array([row_of(s, t) for s, _, _, t in forms])
+    obj_rows = np.array([row_of(o, t) for _, _, o, t in forms])
+    neg_rows = np.array(
+        [[row_of(e, t) for e in row] for row, t in zip(negs, forms[:, 3])]
+    ).reshape(negs.shape)
+    return pairs, subj_rows, obj_rows, neg_rows
+
+
+class TestInterning:
+    @pytest.mark.parametrize(
+        "seed,n_entities,horizon,n_forms,factor",
+        [(0, 5, 3, 40, 6), (1, 200, 30, 512, 8), (2, 1, 1, 3, 2), (3, 50, 1, 1, 1)],
+    )
+    def test_matches_dict_loop(self, seed, n_entities, horizon, n_forms, factor):
+        rng = np.random.default_rng(seed)
+        forms = np.stack([
+            rng.integers(0, n_entities, n_forms),
+            rng.integers(0, 4, n_forms),
+            rng.integers(0, n_entities, n_forms),
+            rng.integers(0, horizon, n_forms),
+        ], axis=1)
+        negs = rng.integers(0, n_entities, size=(n_forms, factor))
+        pairs, subj_rows, obj_rows, neg_rows = _intern_rows(forms, negs)
+        want_pairs, want_subj, want_obj, want_neg = _intern_rows_loop(forms, negs)
+        assert pairs.tolist() == [list(p) for p in want_pairs]
+        assert np.array_equal(subj_rows, want_subj)
+        assert np.array_equal(obj_rows, want_obj)
+        assert np.array_equal(neg_rows, want_neg)
+
+    def test_loss_cache_row_count(self, toy_params, toy_kg):
+        neg = NegativeSamplerConfig(5, BOTH_SIDES, seed=4)
+        batch = list(toy_kg.quadruples[:9])
+        _, cache = reasoning_loss_fwd(
+            toy_params, toy_kg, batch, neg, 0.5, np.random.default_rng(4), b=4
+        )
+        want_pairs = _intern_rows_loop(cache["forms"], cache["negs"])[0]
+        assert cache["n_pairs"] == len(want_pairs)
 
 
 class TestReasoningLoss:

@@ -103,6 +103,23 @@ class TestLoading:
         assert pairs.pairs[0].target_entity == tgt.index("t9")
         assert tgt.frozen  # frozen state restored after the load
 
+    def test_alignment_non_numeric_confidence_reports_lineno(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_text("s0\tt0\t0.5\ns0\tt0\tabc\n")
+        src = Vocabulary(["s0"], frozen=True)
+        tgt = Vocabulary(["t0"], frozen=True)
+        with pytest.raises(ValueError, match=r"a\.tsv:2: bad confidence value 'abc'"):
+            load_alignments(path, src, tgt)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_alignment_non_finite_confidence_reports_lineno(self, tmp_path, text):
+        path = tmp_path / "a.tsv"
+        path.write_text(f"# header\ns0\tt0\t{text}\n")
+        src = Vocabulary(["s0"], frozen=True)
+        tgt = Vocabulary(["t0"], frozen=True)
+        with pytest.raises(ValueError, match=rf"a\.tsv:2: non-finite confidence '{text}'"):
+            load_alignments(path, src, tgt)
+
 
 class TestIntervals:
     def test_degenerate(self):
@@ -176,6 +193,54 @@ class TestTemporalNeighbors:
                 )
                 want = [(n, r, tt) for tt, n, r in ordered[-3:]]
                 assert got == want
+
+
+class TestNeighborArrays:
+    """Both paths of ``neighbor_arrays``: the shared window table and the
+    per-row lookup used above ``_WINDOW_TABLE_LIMIT`` cells."""
+
+    @staticmethod
+    def _both_paths(monkeypatch, kg, ids, t, b):
+        table = kg.neighbor_arrays(ids, t, b)
+        with monkeypatch.context() as m:
+            m.setattr(TemporalKG, "_WINDOW_TABLE_LIMIT", 0)
+            rows = kg.neighbor_arrays(ids, t, b)
+        return table, rows
+
+    @pytest.mark.parametrize("b", [1, 3, 6])
+    def test_per_row_fallback_matches_table_at_scalar_time(self, monkeypatch, b):
+        kg = random_kg(np.random.default_rng(12), n_events=40)
+        ids = np.arange(len(kg.entities))
+        for t in range(kg.horizon + 1):
+            table, rows = self._both_paths(monkeypatch, kg, ids, t, b)
+            for x, y in zip(table, rows):
+                assert x.dtype == y.dtype
+                assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("b", [1, 3, 6])
+    def test_per_row_fallback_matches_table_at_per_row_times(self, monkeypatch, b):
+        rng = np.random.default_rng(13)
+        kg = random_kg(rng, n_events=40)
+        ids = rng.integers(0, len(kg.entities), size=30)
+        ts = rng.integers(-2, kg.horizon + 1, size=30)
+        table, rows = self._both_paths(monkeypatch, kg, ids, ts, b)
+        for x, y in zip(table, rows):
+            assert np.array_equal(x, y)
+        # per-row times equal one scalar-time lookup per row
+        for i, (e, t) in enumerate(zip(ids, ts)):
+            one = kg.neighbor_arrays(np.array([e]), int(t), b)
+            for x, y in zip(table, one):
+                assert np.array_equal(x[i], y[0])
+
+    def test_live_slots_are_the_temporal_neighbors(self, monkeypatch):
+        kg = random_kg(np.random.default_rng(14), n_events=40)
+        steps = np.arange(-1, kg.horizon + 1)  # a negative time to the horizon
+        ids = np.repeat(np.arange(len(kg.entities)), len(steps))
+        ts = np.tile(steps, len(kg.entities))
+        for nbr, rel, tim, mask in self._both_paths(monkeypatch, kg, ids, ts, 3):
+            for i, (e, t) in enumerate(zip(ids, ts)):
+                live = list(zip(nbr[i][mask[i]], rel[i][mask[i]], tim[i][mask[i]]))
+                assert live == kg.temporal_neighbors(int(e), int(t), 3)
 
 
 class TestSplit:
