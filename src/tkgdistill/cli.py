@@ -186,6 +186,13 @@ def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _write_rows_csv(path: Path, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,variant,seed,value\n")
@@ -258,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--copy-prob", type=float, default=0.6)
     p.add_argument("--emit-full", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -289,10 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", default="0,0.05,0.1,0.15,0.2")
     p.add_argument("--fractions", default="0,0.1,0.2,0.3,0.4,0.5")
     p.add_argument("--N", default="8,32,128,512")
-    p.add_argument("--seeds", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--seeds", type=_at_least_one, default=None)
+    p.add_argument("--epochs", type=_at_least_one, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_experiment)
     return parser

@@ -89,12 +89,18 @@ def init_network_params(
     )
 
 
+def time_table(params: NetworkParams, max_gap: int) -> np.ndarray:
+    """(max_gap + 1, d) table: kappa(g)_i = sqrt(1/d) * cos(omega_i * g)."""
+    d = params.time_freq.shape[0]
+    gaps = np.arange(max_gap + 1, dtype=np.int64)[:, None]
+    return np.sqrt(1.0 / d) * np.cos(params.time_freq * gaps)
+
+
 def time_encode(params: NetworkParams, delta_t: int) -> np.ndarray:
-    """kappa(dt)_i = sqrt(1/d) * cos(omega_i * dt); unit norm at dt = 0."""
+    """Row ``delta_t`` of ``time_table``; unit norm at dt = 0."""
     if delta_t < 0:
         raise ValueError("delta_t must be non-negative")
-    d = params.time_freq.shape[0]
-    return np.sqrt(1.0 / d) * np.cos(params.time_freq * delta_t)
+    return time_table(params, delta_t)[delta_t]
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -104,15 +110,8 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched single-layer path: all requested (entity, time) rows in one call.
+# The encoder: one aggregation layer over all requested (entity, time) rows.
 # ---------------------------------------------------------------------------
-
-
-def time_table(params: NetworkParams, max_gap: int) -> np.ndarray:
-    """(max_gap + 1, d) table whose row g is ``time_encode(params, g)``."""
-    d = params.time_freq.shape[0]
-    gaps = np.arange(max_gap + 1, dtype=np.int64)[:, None]
-    return np.sqrt(1.0 / d) * np.cos(params.time_freq * gaps)
 
 
 def encode_batch_fwd(
@@ -224,105 +223,18 @@ def encode_batch_bwd(
     )
 
 
-# ---------------------------------------------------------------------------
-# Recursive path for stacked layers; layer 0 is the raw embedding row.
-# ---------------------------------------------------------------------------
-
-
-def _encode_rec_fwd(params, kg, e, t, layer, b):
-    if layer == 0:
-        return params.entity_emb[e].copy(), {"kind": "leaf", "e": e}
-    neighbors = kg.temporal_neighbors(e, t, b)
-    h_c, cache_c = _encode_rec_fwd(params, kg, e, t, layer - 1, b)
-    if not neighbors:
-        msg = params.entity_emb[e] @ params.transform_W
-        out = np.maximum(msg, 0.0)
-        return out, {"kind": "fallback", "e": e, "msg": msg}
-    subs, h_n, h_r, kap = [], [], [], []
-    for (e_k, r_k, t_k) in neighbors:
-        h_k, cache_k = _encode_rec_fwd(params, kg, e_k, t_k, layer - 1, b)
-        subs.append(cache_k)
-        h_n.append(h_k)
-        h_r.append(params.relation_emb[r_k])
-        kap.append(time_encode(params, t - t_k))
-    h_n = np.stack(h_n)
-    h_r = np.stack(h_r)
-    kap = np.stack(kap)
-    a1, a2, a3, a4 = params.attn_a.reshape(4, -1)
-    logits = h_c @ a1 + h_n @ a2 + h_r @ a3 + kap @ a4
-    alpha = softmax_masked_rows(logits, np.ones_like(logits, dtype=bool))
-    agg = alpha @ h_n
-    msg = agg @ params.transform_W
-    out = np.maximum(msg, 0.0)
-    cache = {
-        "kind": "node", "neighbors": neighbors, "subs": subs, "cache_c": cache_c,
-        "h_c": h_c, "h_n": h_n, "h_r": h_r, "alpha": alpha, "agg": agg,
-        "msg": msg, "kappa": kap,
-    }
-    return out, cache
-
-
-def _encode_rec_bwd(grad_out, cache, params, grads):
-    kind = cache["kind"]
-    if kind == "leaf":
-        grads["entity_emb"][cache["e"]] += grad_out
-        return
-    if kind == "fallback":
-        g_msg = grad_out * (cache["msg"] > 0.0)
-        grads["transform_W"] += np.outer(params.entity_emb[cache["e"]], g_msg)
-        grads["entity_emb"][cache["e"]] += g_msg @ params.transform_W.T
-        return
-    h_c, h_n, h_r = cache["h_c"], cache["h_n"], cache["h_r"]
-    alpha, agg = cache["alpha"], cache["agg"]
-    g_msg = grad_out * (cache["msg"] > 0.0)
-    grads["transform_W"] += np.outer(agg, g_msg)
-    g_agg = g_msg @ params.transform_W.T
-    g_alpha = h_n @ g_agg
-    g_hn = alpha[:, None] * g_agg[None, :]
-    g_logits = softmax_rows_backward(alpha, g_alpha)
-    a1, a2, a3, _ = params.attn_a.reshape(4, -1)
-    g_hc = g_logits.sum() * a1
-    g_hn += g_logits[:, None] * a2
-    ga = grads["attn_a"].reshape(4, -1)
-    ga[0] += g_logits.sum() * h_c
-    ga[1] += g_logits @ h_n
-    ga[2] += g_logits @ h_r
-    ga[3] += g_logits @ cache["kappa"]
-    for k, (e_k, r_k, t_k) in enumerate(cache["neighbors"]):
-        grads["relation_emb"][r_k] += g_logits[k] * a3
-        _encode_rec_bwd(g_hn[k], cache["subs"][k], params, grads)
-    _encode_rec_bwd(g_hc, cache["cache_c"], params, grads)
-
-
 def encode_entity(
     params: NetworkParams,
     kg: TemporalKG,
     e: int,
     t: int,
-    layers: int = 1,
     b: int = 8,
 ) -> np.ndarray:
-    """Representation of entity ``e`` at time ``t`` after ``layers`` aggregations."""
-    h, _ = encode_entity_fwd(params, kg, e, t, layers, b)
-    return h
-
-
-def encode_entity_fwd(params, kg, e, t, layers=1, b=8):
+    """Representation of entity ``e`` at time ``t``."""
     if not 0 <= e < params.n_entities:
         raise KeyError(f"unknown entity id {e}")
-    if layers < 0:
-        raise ValueError("layers must be non-negative")
-    if layers == 1:
-        out, cache = encode_batch_fwd(params, kg, np.array([e]), t, b)
-        return out[0], {"kind": "batch1", "cache": cache}
-    return _encode_rec_fwd(params, kg, e, t, layers, b)
-
-
-def encode_entity_bwd(grad_out, cache, params, grads):
-    if cache.get("kind") == "batch1":
-        encode_batch_bwd(grad_out[None, :], cache["cache"], params, grads)
-    else:
-        _encode_rec_bwd(grad_out, cache, params, grads)
+    out, _ = encode_batch_fwd(params, kg, np.array([e]), t, b)
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +247,6 @@ def encode_many_fwd(
     kg: TemporalKG,
     pairs,
     b: int,
-    layers: int = 1,
     dropout_rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Encode unique (entity, time) pairs, given as a sequence or a (k, 2) array.
@@ -344,28 +255,16 @@ def encode_many_fwd(
     by time, so dropout draws match one call per time step in ascending order.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if layers != 1:
-        out = np.zeros((len(pairs), params.dim))
-        caches = []
-        for i, (e, t) in enumerate(pairs.tolist()):
-            h, c = encode_entity_fwd(params, kg, e, t, layers, b)
-            out[i] = h
-            caches.append(c)
-        return out, {"mode": "rec", "caches": caches}
     order = np.argsort(pairs[:, 1], kind="stable")
     h, cache = encode_batch_fwd(
         params, kg, pairs[order, 0], pairs[order, 1], b, dropout_rng
     )
     out = np.empty_like(h)
     out[order] = h
-    return out, {"mode": "batch", "order": order, "cache": cache}
+    return out, {"order": order, "cache": cache}
 
 
 def encode_many_bwd(grad_out, cache, params, grads) -> None:
-    if cache["mode"] == "rec":
-        for g, c in zip(grad_out, cache["caches"]):
-            encode_entity_bwd(g, c, params, grads)
-        return
     encode_batch_bwd(grad_out[cache["order"]], cache["cache"], params, grads)
 
 
@@ -374,11 +273,10 @@ def encode_trajectory(
     kg: TemporalKG,
     e: int,
     t_max: int,
-    layers: int = 1,
     b: int = 8,
 ) -> np.ndarray:
     """Rows 0..t_max-1 hold the representation at times 1..t_max."""
-    traj, _ = encode_trajectories_fwd(params, kg, np.array([e]), t_max, layers, b)
+    traj, _ = encode_trajectories_fwd(params, kg, np.array([e]), t_max, b)
     return traj[0]
 
 
@@ -387,37 +285,21 @@ def encode_trajectories_fwd(
     kg: TemporalKG,
     ids: np.ndarray,
     t_max: int,
-    layers: int = 1,
     b: int = 8,
 ) -> tuple[np.ndarray, dict]:
     """(n, t_max, d) trajectories over times 1..t_max for all ``ids``."""
     if t_max < 1 or t_max > kg.horizon:
         raise ValueError(f"t_max must be in [1, horizon], got {t_max}")
     ids = np.asarray(ids, dtype=np.int64)
-    n = len(ids)
-    out = np.zeros((n, t_max, params.dim))
+    out = np.zeros((len(ids), t_max, params.dim))
     caches = []
     for t in range(1, t_max + 1):
-        if layers == 1:
-            h, cache = encode_batch_fwd(params, kg, ids, t, b)
-        else:
-            h = np.zeros((n, params.dim))
-            subs = []
-            for row, e in enumerate(ids):
-                hv, c = encode_entity_fwd(params, kg, int(e), t, layers, b)
-                h[row] = hv
-                subs.append(c)
-            cache = {"mode": "rec", "caches": subs}
+        h, cache = encode_batch_fwd(params, kg, ids, t, b)
         out[:, t - 1] = h
         caches.append(cache)
-    return out, {"caches": caches, "layers": layers}
+    return out, {"caches": caches}
 
 
 def encode_trajectories_bwd(grad_traj, cache, params, grads) -> None:
     for t_idx, sub in enumerate(cache["caches"]):
-        g = grad_traj[:, t_idx]
-        if cache["layers"] == 1:
-            encode_batch_bwd(g, sub, params, grads)
-        else:
-            for row, c in enumerate(sub["caches"]):
-                encode_entity_bwd(g[row], c, params, grads)
+        encode_batch_bwd(grad_traj[:, t_idx], sub, params, grads)

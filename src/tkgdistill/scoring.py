@@ -43,14 +43,11 @@ def score_quadruple(
     params: NetworkParams,
     kg: TemporalKG,
     q: Quadruple,
-    layers: int = 1,
     b: int = 8,
 ) -> float:
     if not 0 <= q.relation < params.relation_emb.shape[0]:
         raise KeyError(f"unknown relation id {q.relation}")
-    reps, _ = encode_many_fwd(
-        params, kg, [(q.subject, q.time), (q.object, q.time)], b, layers
-    )
+    reps, _ = encode_many_fwd(params, kg, [(q.subject, q.time), (q.object, q.time)], b)
     return float(translation_score(reps[0], params.relation_emb[q.relation], reps[1]))
 
 
@@ -121,7 +118,6 @@ def reasoning_loss_fwd(
     margin: float,
     rng: np.random.Generator,
     b: int = 8,
-    layers: int = 1,
     dropout_rng: np.random.Generator | None = None,
 ) -> tuple[float, dict]:
     """Mean hinge over the batch and its sampled negatives.
@@ -139,7 +135,7 @@ def reasoning_loss_fwd(
     )
 
     pairs, subj_rows, obj_rows, neg_rows = _intern_rows(forms, negs)
-    reps, enc_cache = encode_many_fwd(params, kg, pairs, b, layers, dropout_rng)
+    reps, enc_cache = encode_many_fwd(params, kg, pairs, b, dropout_rng)
 
     h_s = reps[subj_rows]
     h_o = reps[obj_rows]
@@ -205,9 +201,8 @@ def reasoning_loss(
     margin: float,
     rng: np.random.Generator | None = None,
     b: int = 8,
-    layers: int = 1,
 ) -> float:
     if rng is None:
         rng = np.random.default_rng(neg_cfg.seed)
-    loss, _ = reasoning_loss_fwd(params, kg, batch, neg_cfg, margin, rng, b, layers)
+    loss, _ = reasoning_loss_fwd(params, kg, batch, neg_cfg, margin, rng, b)
     return loss

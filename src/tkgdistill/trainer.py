@@ -68,7 +68,6 @@ class TrainConfig:
     batch_size: int = 256
     epochs: int = 50
     neighbors: int = 8
-    layers: int = 1
     dropout: float = 0.5
     reasoning_negatives: int = 10
     alignment_negatives: int = 50
@@ -127,11 +126,19 @@ def parse_config_file(path) -> TrainConfig:
                 if value.lower() not in _BOOL_WORDS:
                     raise ValueError(f"{path}:{lineno}: bad boolean {value!r}")
                 overrides[key] = _BOOL_WORDS[value.lower()]
-            elif ftype == "int":
-                overrides[key] = int(value)
             else:
-                overrides[key] = float(value)
+                overrides[key] = _parse_number(value, ftype, path, lineno)
     return TrainConfig(**overrides)
+
+
+def _parse_number(text: str, ftype: str, path, lineno: int):
+    try:
+        num = int(text) if ftype == "int" else float(text)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: bad {ftype} value {text!r}") from None
+    if ftype == "float" and not np.isfinite(num):
+        raise ValueError(f"{path}:{lineno}: non-finite value {text!r}")
+    return num
 
 
 @dataclass
@@ -176,7 +183,7 @@ def pretrain_teacher(
             drop = rng_for(cfg.seed, _RNG_DROPOUT, _RNG_TEACHER, epoch, bi)
             loss, cache = reasoning_loss_fwd(
                 params, source_kg, batch, neg, cfg.margin_reasoning, rng,
-                cfg.neighbors, cfg.layers, drop,
+                cfg.neighbors, drop,
             )
             if not np.isfinite(loss):
                 raise RuntimeError(f"teacher loss diverged at epoch {epoch}")
@@ -319,7 +326,7 @@ def _reasoning_terms(
             continue
         term, cache = reasoning_loss_fwd(
             student, union_kg, batch, neg, cfg.margin_reasoning, rng,
-            cfg.neighbors, cfg.layers, dropout_rng,
+            cfg.neighbors, dropout_rng,
         )
         loss += w * term
         if not with_grad:
@@ -361,7 +368,7 @@ def combined_loss_and_grad(
         t_train = cfg.split_train_steps
         all_targets = np.arange(student.n_entities, dtype=np.int64)
         tgt_trajs, traj_cache = encode_trajectories_fwd(
-            student, union_kg, all_targets, t_train, cfg.layers, cfg.neighbors
+            student, union_kg, all_targets, t_train, cfg.neighbors
         )
         a_loss, align_grads, grad_tgt = _alignment_terms(
             align, source_traj_bank, tgt_trajs, batches.gt_pairs,
@@ -503,8 +510,7 @@ def train_mpkd(
 
     t_train = cfg.split_train_steps
     source_traj_bank, _ = encode_trajectories_fwd(
-        teacher, source_kg, np.arange(teacher.n_entities), t_train,
-        cfg.layers, cfg.neighbors,
+        teacher, source_kg, np.arange(teacher.n_entities), t_train, cfg.neighbors,
     )
     active_sources = frozenset(
         e
@@ -537,8 +543,7 @@ def train_mpkd(
         align_losses = []
         if gt_pairs or ps_pairs:
             tgt_trajs, _ = encode_trajectories_fwd(
-                student, state.union_kg, all_targets, t_train, cfg.layers,
-                cfg.neighbors,
+                student, state.union_kg, all_targets, t_train, cfg.neighbors,
             )
             order = rng_for(cfg.seed, _RNG_SHUFFLE, _RNG_ALIGN, epoch).permutation(
                 len(state.alignments.pairs)
@@ -616,8 +621,7 @@ def train_mpkd(
             # distillation channel: the alignment terms pull the student's
             # trajectories toward the teacher's through the frozen module
             tgt_trajs, traj_cache = encode_trajectories_fwd(
-                student, state.union_kg, all_targets, t_train, cfg.layers,
-                cfg.neighbors,
+                student, state.union_kg, all_targets, t_train, cfg.neighbors,
             )
             loss, _, grad_tgt = _alignment_terms(
                 align, source_traj_bank, tgt_trajs, gt_pairs, ps_pairs,
@@ -694,8 +698,7 @@ def _generate_pseudo_round(
         return
     all_targets = np.arange(n_targets, dtype=np.int64)
     tgt_trajs, _ = encode_trajectories_fwd(
-        student, state.union_kg, all_targets, cfg.split_train_steps,
-        cfg.layers, cfg.neighbors,
+        student, state.union_kg, all_targets, cfg.split_train_steps, cfg.neighbors,
     )
     h_src, _ = temporal_integrate_batch_fwd(align, source_traj_bank)
     h_tgt, _ = temporal_integrate_batch_fwd(align, tgt_trajs)

@@ -118,7 +118,7 @@ def _grad_toy(seed):
         margin_alignment=0.4 + 1.3e-3 * (seed % 5),
     )
     bank, _ = encode_trajectories_fwd(
-        teacher, kg, np.arange(n_e), t_train, 1, cfg.neighbors
+        teacher, kg, np.arange(n_e), t_train, cfg.neighbors
     )
     pairs = AlignmentSet([])
     from tkgdistill.tkg import AlignmentPair
@@ -133,7 +133,7 @@ def _grad_toy(seed):
 def _frozen_strengths(student, align, kg, bank, batches, cfg):
     all_targets = np.arange(student.n_entities)
     tgt, _ = encode_trajectories_fwd(
-        student, kg, all_targets, cfg.split_train_steps, 1, cfg.neighbors
+        student, kg, all_targets, cfg.split_train_steps, cfg.neighbors
     )
     h_s, _ = temporal_integrate_batch_fwd(align, bank)
     h_t, _ = temporal_integrate_batch_fwd(align, tgt)
@@ -205,7 +205,7 @@ def _alignment_check(seed):
     beta_gt, _ = _frozen_strengths(student, align, kg, bank, batches, cfg)
     all_targets = np.arange(student.n_entities)
     tgt_trajs, _ = encode_trajectories_fwd(
-        student, kg, all_targets, cfg.split_train_steps, 1, cfg.neighbors
+        student, kg, all_targets, cfg.split_train_steps, cfg.neighbors
     )
     src = np.array([p.source_entity for p in batches.gt_pairs])
     tgt_ids = np.array([p.target_entity for p in batches.gt_pairs])

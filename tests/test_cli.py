@@ -149,6 +149,16 @@ class TestExperimentCommand:
         res = run_cli("experiment", "spaghetti", "--out", tmp_path)
         assert res.returncode != 0
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--seeds", "0"), ("--seeds", "-1"), ("--epochs", "0"),
+    ])
+    def test_counts_below_one_rejected(self, tmp_path, flag, value):
+        out = tmp_path / "out"
+        res = run_cli("experiment", "nce-decay", flag, value, "--out", out)
+        assert res.returncode == 2
+        assert f"argument {flag}: must be at least 1, got {value}" in res.stderr
+        assert not out.exists()
+
     def test_nce_decay_rows(self, tmp_path):
         res = run_cli(
             "experiment", "nce-decay", "--N", "8,32,64", "--out", tmp_path

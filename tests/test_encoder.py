@@ -7,8 +7,6 @@ from tkgdistill.encoder import (
     encode_batch_bwd,
     encode_batch_fwd,
     encode_entity,
-    encode_entity_bwd,
-    encode_entity_fwd,
     encode_many_bwd,
     encode_many_fwd,
     encode_trajectory,
@@ -42,17 +40,13 @@ class TestTimeEncode:
 
 
 class TestEncodeEntity:
-    def test_layer_zero_is_embedding_row(self, toy_params, toy_kg):
-        out = encode_entity(toy_params, toy_kg, 3, 5, layers=0)
-        assert np.array_equal(out, toy_params.entity_emb[3])
-
     def test_single_neighbor_alpha_one(self):
         kg = TemporalKG(
             Vocabulary.integers(3), Vocabulary.integers(1),
             [Quadruple(0, 0, 1, 2)], 6,
         )
         params = init_network_params(3, 1, 4, seed=2, dropout_rate=0.0)
-        out = encode_entity(params, kg, 0, 4, layers=1, b=4)
+        out = encode_entity(params, kg, 0, 4, b=4)
         want = np.maximum(params.entity_emb[1] @ params.transform_W, 0.0)
         assert np.allclose(out, want, atol=1e-12)
 
@@ -68,11 +62,11 @@ class TestEncodeEntity:
         params.attn_a[:] = 0.0
         params.entity_emb[1] = [1.0, -2.0]
         params.entity_emb[2] = [3.0, -4.0]
-        out = encode_entity(params, kg, 0, 4, layers=1, b=4)
+        out = encode_entity(params, kg, 0, 4, b=4)
         assert np.allclose(out, [2.0, 0.0], atol=1e-12)  # relu of (2, -3)
 
     def test_empty_neighborhood_fallback(self, toy_params, toy_kg):
-        out = encode_entity(toy_params, toy_kg, 0, 0, layers=1, b=4)
+        out = encode_entity(toy_params, toy_kg, 0, 0, b=4)
         want = np.maximum(toy_params.entity_emb[0] @ toy_params.transform_W, 0.0)
         assert np.allclose(out, want, atol=1e-12)
 
@@ -97,12 +91,12 @@ class TestEncodeEntity:
         params = init_network_params(6, 3, 4, seed=seed % 100, dropout_rate=0.0)
         t = int(rng.integers(1, 8))
         e = int(rng.integers(6))
-        base = encode_entity(params, kg, e, t, layers=1, b=4)
+        base = encode_entity(params, kg, e, t, b=4)
         extra = list(kg.quadruples) + [
             Quadruple(e, 0, (e + 1) % 6, tt) for tt in range(t, kg.horizon)
         ]
         edited = kg.with_quadruples(extra)
-        after = encode_entity(params, edited, e, t, layers=1, b=4)
+        after = encode_entity(params, edited, e, t, b=4)
         assert np.array_equal(base, after)
 
     def test_permutation_invariance(self):
@@ -118,40 +112,18 @@ class TestEncodeEntity:
             Vocabulary.integers(6), Vocabulary.integers(2), quads[::-1], 8
         )
         params = init_network_params(6, 2, 4, seed=4, dropout_rate=0.0)
-        a = encode_entity(params, kg1, 0, 7, layers=1, b=8)
-        b = encode_entity(params, kg2, 0, 7, layers=1, b=8)
+        a = encode_entity(params, kg1, 0, 7, b=8)
+        b = encode_entity(params, kg2, 0, 7, b=8)
         assert np.allclose(a, b, atol=1e-12)
 
 
 class TestEncoderGradients:
-    def _check(self, seed, layers):
+    def _check(self, seed, n_entities, n_events, ids):
         rng = np.random.default_rng(seed)
-        kg = random_kg(rng, n_entities=6, horizon=8, n_events=22)
-        params = init_network_params(6, 3, 5, seed=seed, dropout_rate=0.0)
-        head = rng.normal(size=5)
-
-        def lg(p):
-            h, cache = encode_entity_fwd(params, kg, 2, 6, layers, b=3)
-            grads = params.zero_grads()
-            encode_entity_bwd(head, cache, params, grads)
-            return float(head @ h), grads
-
-        return grad_check(lg, params.trainable(), step=1e-5, tol=1e-5)
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_single_layer(self, seed):
-        assert self._check(seed, layers=1).passed
-
-    @pytest.mark.parametrize("seed", [4, 5])
-    def test_two_layers(self, seed):
-        assert self._check(seed, layers=2).passed
-
-    def test_batched_gradient(self):
-        rng = np.random.default_rng(9)
-        kg = random_kg(rng, n_entities=7, horizon=8, n_events=25)
-        params = init_network_params(7, 3, 5, seed=9, dropout_rate=0.0)
-        ids = np.array([0, 2, 5])
-        head = rng.normal(size=(3, 5))
+        kg = random_kg(rng, n_entities=n_entities, horizon=8, n_events=n_events)
+        params = init_network_params(n_entities, 3, 5, seed=seed, dropout_rate=0.0)
+        ids = np.array(ids)
+        head = rng.normal(size=(len(ids), 5))
 
         def lg(p):
             out, cache = encode_batch_fwd(params, kg, ids, 6, b=3)
@@ -159,7 +131,15 @@ class TestEncoderGradients:
             encode_batch_bwd(head, cache, params, grads)
             return float((head * out).sum()), grads
 
-        assert grad_check(lg, params.trainable(), 1e-5, 1e-5).passed
+        return grad_check(lg, params.trainable(), step=1e-5, tol=1e-5)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_single_layer(self, seed):
+        # one row: the batch kernel as encode_entity calls it
+        assert self._check(seed, 6, 22, [2]).passed
+
+    def test_batched_gradient(self):
+        assert self._check(9, 7, 25, [0, 2, 5]).passed
 
 
 # Rows computed in different batch compositions may round differently, since
@@ -209,7 +189,7 @@ class TestPerRowTimes:
         params = init_network_params(9, 3, 8, seed=seed, dropout_rate=0.5)
         ids, ts = _rows_and_times(seed, kg, 50)
         pairs = list(zip(ids.tolist(), ts.tolist()))
-        out, cache = encode_many_fwd(params, kg, pairs, 3, 1, np.random.default_rng(seed))
+        out, cache = encode_many_fwd(params, kg, pairs, 3, np.random.default_rng(seed))
 
         ref_rng = np.random.default_rng(seed)
         grad_out = np.random.default_rng(seed + 1).normal(size=out.shape)
@@ -271,9 +251,9 @@ class TestTrajectory:
         assert traj.shape == (1, toy_params.dim)
 
     def test_matches_elementwise_calls(self, toy_params, toy_kg):
-        traj = encode_trajectory(toy_params, toy_kg, 2, 5, layers=1, b=4)
+        traj = encode_trajectory(toy_params, toy_kg, 2, 5, b=4)
         for t in range(1, 6):
-            one = encode_entity(toy_params, toy_kg, 2, t, layers=1, b=4)
+            one = encode_entity(toy_params, toy_kg, 2, t, b=4)
             assert np.array_equal(traj[t - 1], one)
 
     def test_history_free_entity_constant_fallback(self):

@@ -151,7 +151,7 @@ class TestReasoningLoss:
         from tkgdistill.encoder import encode_entity
 
         def rep(e, t):
-            return encode_entity(params, toy_kg, int(e), int(t), layers=1, b=4)
+            return encode_entity(params, toy_kg, int(e), int(t), b=4)
 
         for (s, r, o, t), row, vrow in zip(forms, negs, valid):
             f_pos = translation_score(rep(s, t), params.relation_emb[r], rep(o, t))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -52,7 +54,6 @@ class TestTrainConfig:
         assert cfg.batch_size == 256
         assert cfg.epochs == 50
         assert cfg.neighbors == 8
-        assert cfg.layers == 1
         assert cfg.dropout == 0.5
         assert cfg.reasoning_negatives == 10
         assert cfg.alignment_negatives == 50
@@ -72,10 +73,22 @@ class TestTrainConfig:
         assert cfg.learning_rate == 0.005
         assert cfg.pure_training is True and cfg.seed == 7
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("flux_capacitor = 1\n", ":1: unknown config key", id="unknown-key"),
+        pytest.param("dim = 16\nlayers = 2\n", ":2: unknown config key 'layers'",
+                     id="layers"),
+        pytest.param("dim = 16\nepochs = abc\n", ":2: bad int value 'abc'", id="bad-int"),
+        pytest.param("learning_rate = fast\n", ":1: bad float value 'fast'",
+                     id="bad-float"),
+        pytest.param("dim = 16\nmargin_reasoning = nan\n", ":2: non-finite value 'nan'",
+                     id="nan"),
+        pytest.param("margin_alignment = -inf\n", ":1: non-finite value '-inf'",
+                     id="inf"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, text, message):
         path = tmp_path / "cfg.ini"
-        path.write_text("flux_capacitor = 1\n")
-        with pytest.raises(ValueError, match="unknown config key"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
             parse_config_file(path)
 
     def test_digest_stable_and_sensitive(self):
@@ -176,8 +189,7 @@ class TestCombinedLoss:
 
         align = init_align_params(cfg.dim, 9)
         bank, _ = encode_trajectories_fwd(
-            teacher, pair.source, np.arange(10), cfg.split_train_steps, 1,
-            cfg.neighbors,
+            teacher, pair.source, np.arange(10), cfg.split_train_steps, cfg.neighbors,
         )
         train_quads = [q for q in pair.target_incomplete.quadruples if q.time < 5]
         union = pair.target_incomplete.with_quadruples(train_quads)
@@ -208,7 +220,7 @@ class TestCombinedLoss:
         )
         all_targets = np.arange(10)
         tgt_trajs, _ = encode_trajectories_fwd(
-            student, union, all_targets, cfg.split_train_steps, 1, cfg.neighbors
+            student, union, all_targets, cfg.split_train_steps, cfg.neighbors
         )
         l_a, _, _ = _alignment_terms(
             align, bank, tgt_trajs, batches.gt_pairs, [], aligns, (1.0, 0.0),
@@ -230,7 +242,7 @@ class TestCombinedLoss:
             rng_for(cfg.seed, _RNG_STUDENT, 0), None,
         )
         tgt_trajs, _ = encode_trajectories_fwd(
-            student, union, np.arange(10), cfg.split_train_steps, 1, cfg.neighbors
+            student, union, np.arange(10), cfg.split_train_steps, cfg.neighbors
         )
         l_a, _, _ = _alignment_terms(
             align, bank, tgt_trajs, batches.gt_pairs, batches.ps_pairs, aligns,
