@@ -80,26 +80,21 @@ def _solve_exact(sim: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _solve_greedy(sim: np.ndarray) -> list[tuple[int, int]]:
-    order = sorted(
-        ((r, c) for r in range(sim.shape[0]) for c in range(sim.shape[1])
-         if sim[r, c] > 0.0),
-        key=lambda rc: (-sim[rc[0], rc[1]], rc[0], rc[1]),
-    )
-    used_r: set[int] = set()
-    used_c: set[int] = set()
+    # positive cells by descending similarity, ties by (row, col)
+    rows, cols = np.nonzero(sim > 0.0)
+    order = np.lexsort((cols, rows, -sim[rows, cols]))
+    used_r = np.zeros(sim.shape[0], dtype=bool)
+    used_c = np.zeros(sim.shape[1], dtype=bool)
+    limit = min(sim.shape)
     out = []
-    for r, c in order:
-        if r in used_r or c in used_c:
+    for r, c in zip(rows[order].tolist(), cols[order].tolist()):
+        if used_r[r] or used_c[c]:
             continue
-        used_r.add(r)
-        used_c.add(c)
+        used_r[r] = used_c[c] = True
         out.append((r, c))
+        if len(out) == limit:
+            break
     return out
-
-
-def matching_total(sim: np.ndarray, matches: list[tuple[int, int]]) -> float:
-    """Total similarity of a matching, summed in row order (canonical)."""
-    return float(sum(sim[r, c] for r, c in sorted(matches)))
 
 
 def generate_pseudo_alignments(
@@ -187,29 +182,6 @@ def candidate_targets(
     return sorted(out)
 
 
-def brute_force_best_matching(sim: np.ndarray) -> float:
-    """Enumerate every partial one-to-one assignment; exact oracle for tests."""
-    ns, nt = sim.shape
-    best = 0.0
-
-    def recurse(row: int, used_cols: int, chosen: list[tuple[int, int]]):
-        nonlocal best
-        if row == ns:
-            total = matching_total(sim, chosen)
-            if total > best:
-                best = total
-            return
-        recurse(row + 1, used_cols, chosen)  # leave this source unmatched
-        for c in range(nt):
-            if not used_cols & (1 << c):
-                chosen.append((row, c))
-                recurse(row + 1, used_cols | (1 << c), chosen)
-                chosen.pop()
-
-    recurse(0, 0, [])
-    return best
-
-
 def transfer_events(
     source_kg: TemporalKG,
     target_kg: TemporalKG,
@@ -238,16 +210,25 @@ def transfer_events(
         present |= already
     shared_relations = len(target_kg.relations)
 
+    # each aligned source's eligible events, in quadruple order. An event is
+    # listed under its subject when that is aligned (self-loops included) and
+    # otherwise under its object, so the pass below emits it at most once.
+    events: dict[int, list[Quadruple]] = {e: [] for e in src_to_tgt}
+    for q in source_kg.quadruples:
+        if q.time >= horizon or q.relation >= shared_relations:
+            continue
+        if q.subject in events:
+            events[q.subject].append(q)
+        elif q.object in events:
+            events[q.object].append(q)
+
     records: list[TransferRecord] = []
     for e_s in sorted(src_to_tgt):
         e_t = src_to_tgt[e_s]
-        for q in source_kg.quadruples:
-            if q.time >= horizon or q.relation >= shared_relations:
-                continue
+        for q in events[e_s]:
             if q.subject == e_s:
-                other = q.object
-                if other in src_to_tgt:
-                    mapped = Quadruple(e_t, q.relation, src_to_tgt[other], q.time)
+                if q.object in src_to_tgt:
+                    mapped = Quadruple(e_t, q.relation, src_to_tgt[q.object], q.time)
                     mech = "alignment-lookup"
                 else:
                     top = rank_object_fn(e_t, q.relation, q.time)
@@ -255,18 +236,12 @@ def transfer_events(
                         continue
                     mapped = Quadruple(e_t, q.relation, int(top), q.time)
                     mech = "student-top1"
-            elif q.object == e_s:
-                other = q.subject
-                if other in src_to_tgt:
-                    # emitted when iterating that aligned subject
-                    continue
+            else:
                 top = rank_subject_fn(q.relation, e_t, q.time)
                 if top is None:
                     continue
                 mapped = Quadruple(int(top), q.relation, e_t, q.time)
                 mech = "student-top1"
-            else:
-                continue
             if mapped in present:
                 continue
             present.add(mapped)

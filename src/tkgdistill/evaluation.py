@@ -57,6 +57,15 @@ def rank_of(scores: np.ndarray, true_id: int) -> int:
     return 1 + higher + tied_lower
 
 
+def ranks_of(scores: np.ndarray, true_ids: np.ndarray) -> np.ndarray:
+    """``rank_of`` for every row of ``scores`` at once, same tie rule."""
+    s_true = scores[np.arange(len(true_ids)), true_ids][:, None]
+    lower_id = np.arange(scores.shape[1])[None, :] < true_ids[:, None]
+    higher = (scores > s_true).sum(axis=1)
+    tied_lower = ((scores == s_true) & lower_id).sum(axis=1)
+    return 1 + higher + tied_lower
+
+
 def metrics_from_ranks(ranks) -> tuple[float, float]:
     ranks = np.asarray(ranks, dtype=np.float64)
     if ranks.size == 0:
@@ -171,9 +180,8 @@ def evaluate(
         fwd = score_object_queries(params, h_all, subj, rel)
         bwd = score_object_queries(params, h_all, obj, rel + params.n_relations)
         ranks = np.empty(2 * len(quads), dtype=np.int64)
-        for i in range(len(quads)):
-            ranks[2 * i] = rank_of(fwd[i], int(obj[i]))
-            ranks[2 * i + 1] = rank_of(bwd[i], int(subj[i]))
+        ranks[0::2] = ranks_of(fwd, obj)
+        ranks[1::2] = ranks_of(bwd, subj)
         results[t] = ranks
 
     if threads > 1:

@@ -57,6 +57,40 @@ def rng_for(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
 
 
+def _at_least(low):
+    return lambda v: v >= low, f">= {low}"
+
+
+# field -> (check, wording); NaN fails every check
+_RANGES = {
+    **dict.fromkeys(
+        ("dim", "batch_size", "neighbors", "reasoning_negatives",
+         "alignment_negatives", "time_intervals", "exact_solver_cap",
+         "split_train_steps", "split_val_steps", "split_test_steps"),
+        _at_least(1),
+    ),
+    **dict.fromkeys(
+        ("epochs", "warmup_epochs_before_generation", "patience"), _at_least(0)
+    ),
+    **dict.fromkeys(
+        ("margin_reasoning", "margin_alignment", "learning_rate"),
+        (lambda v: v > 0, "> 0"),
+    ),
+    **dict.fromkeys(
+        ("pseudo_fraction_start", "pseudo_fraction_end"),
+        (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    ),
+    "dropout": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    # no upper cap: a gate above 1 turns student completion off
+    "transfer_min_top1_prob": _at_least(0),
+}
+
+
+def _range_error(name: str, value) -> str | None:
+    check, wording = _RANGES[name]
+    return None if check(value) else f"{name} must be {wording}, got {value!r}"
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters; the defaults are the reported operating point."""
@@ -78,7 +112,7 @@ class TrainConfig:
     pseudo_min_similarity: float = 0.0
     pseudo_replace_existing: bool = True
     exact_solver_cap: int = 64
-    transfer_min_top1_prob: float = 0.0  # 0 disables the confidence gate
+    transfer_min_top1_prob: float = 0.0  # 0 disables the gate; > 1 rejects all
     patience: int = 5
     select_best_val: bool = True  # False keeps the final-epoch parameters
     split_train_steps: int = 28
@@ -90,6 +124,12 @@ class TrainConfig:
     no_pseudo: bool = False
     no_event_transfer: bool = False
     transfer_after_student: bool = False
+
+    def __post_init__(self):
+        for name in _RANGES:
+            problem = _range_error(name, getattr(self, name))
+            if problem:
+                raise ValueError(problem)
 
     def split(self) -> SplitSpec:
         total = self.split_train_steps + self.split_val_steps + self.split_test_steps
@@ -128,6 +168,9 @@ def parse_config_file(path) -> TrainConfig:
                 overrides[key] = _BOOL_WORDS[value.lower()]
             else:
                 overrides[key] = _parse_number(value, ftype, path, lineno)
+                problem = key in _RANGES and _range_error(key, overrides[key])
+                if problem:
+                    raise ValueError(f"{path}:{lineno}: {problem}")
     return TrainConfig(**overrides)
 
 
@@ -434,10 +477,17 @@ def _chunks(items: list, size: int) -> list[list]:
 def _student_top1_fns(student: NetworkParams, kg: TemporalKG, b: int,
                       min_top1_prob: float = 0.0):
     """Argmax completion functions; an optional confidence gate rejects
-    completions whose softmax probability over all candidates is too low."""
+    completions whose softmax probability over all candidates is too low.
+    That probability is at most 1, so a gate above 1 rejects every
+    completion without encoding or scoring anything."""
+    if min_top1_prob > 1.0:
+        def rejected(*_):
+            return None
+
+        return rejected, rejected
     cache = EncodingCache(student, kg, b)
 
-    def top1(e: int, r: int, t: int):
+    def rank_object(e: int, r: int, t: int):
         scores = score_object_queries(
             student, cache.at(t), np.array([e]), np.array([r])
         )[0]
@@ -448,11 +498,8 @@ def _student_top1_fns(student: NetworkParams, kg: TemporalKG, b: int,
                 return None
         return best
 
-    def rank_object(e: int, r: int, t: int):
-        return top1(e, r, t)
-
     def rank_subject(r: int, e: int, t: int):
-        return top1(e, r + student.n_relations, t)
+        return rank_object(e, r + student.n_relations, t)
 
     return rank_object, rank_subject
 

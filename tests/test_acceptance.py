@@ -11,7 +11,9 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
+from distill_reference import brute_force_best_matching, matching_total
 from tkgdistill.alignment import (
     init_align_params,
     strength_diagonal,
@@ -20,9 +22,7 @@ from tkgdistill.alignment import (
 from tkgdistill.distill import (
     CandidateTable,
     PseudoGenConfig,
-    brute_force_best_matching,
     generate_pseudo_alignments,
-    matching_total,
 )
 from tkgdistill.encoder import (
     encode_batch_fwd,
@@ -51,6 +51,9 @@ from tkgdistill.trainer import (
     combined_loss,
     combined_loss_and_grad,
 )
+
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(name, passed, detail, budget, elapsed):

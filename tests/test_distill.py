@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from distill_reference import (
+    brute_force_best_matching,
+    matching_total,
+    solve_greedy_sorted,
+    transfer_events_full_scan,
+)
 from tkgdistill.distill import (
     CandidateTable,
     PseudoGenConfig,
-    brute_force_best_matching,
+    _solve_greedy,
     candidate_targets,
     generate_pseudo_alignments,
-    matching_total,
     mean_similarity,
     transfer_events,
 )
@@ -248,3 +253,101 @@ class TestTransferEvents:
         src, tgt = _mini_transfer_setup()
         with pytest.raises(ValueError):
             transfer_events(src, tgt, AlignmentSet([]), None, None, 8)
+
+
+# a coarse grid of values so that blocks carry ties, zeros of both signs
+# and negatives
+_CELL_VALUES = [-1.0, -0.5, -0.0, 0.0, 0.0, 0.25, 0.5, 0.5, 0.75, 1.0]
+
+
+class TestGreedyMatchesReference:
+    @given(
+        st.integers(1, 7), st.integers(1, 7), st.integers(0, 2**31 - 1),
+        st.booleans(),
+    )
+    @example(1, 6, 3, True)
+    @example(6, 1, 3, True)
+    @settings(max_examples=300, deadline=None)
+    def test_identical_match_lists(self, ns, nt, seed, coarse):
+        rng = np.random.default_rng(seed)
+        if coarse:
+            sim = rng.choice(_CELL_VALUES, size=(ns, nt))
+        else:
+            sim = rng.uniform(-1, 1, size=(ns, nt))
+        assert _solve_greedy(sim) == solve_greedy_sorted(sim)
+
+    def test_no_positive_cell_matches_nothing(self):
+        sim = np.array([[0.0, -0.0], [-0.5, 0.0]])
+        assert _solve_greedy(sim) == solve_greedy_sorted(sim) == []
+
+
+def _random_transfer_case(seed):
+    """Small source/target graphs that hit every branch of the transfer:
+    self-loops, relations outside the shared vocabulary, events at the
+    horizon, a source aligned twice, a non-empty ``already`` set and gated
+    completions."""
+    rng = np.random.default_rng(seed)
+    n_ent, kg_horizon, horizon = 6, 10, 7
+    src_quads = [
+        Quadruple(int(rng.integers(n_ent)), int(rng.integers(3)),
+                  int(rng.integers(n_ent)), int(rng.integers(horizon + 2)))
+        for _ in range(int(rng.integers(1, 30)))
+    ]
+    src_quads.append(Quadruple(1, 0, 1, 2))  # a self-loop on an aligned source
+    src_quads.append(Quadruple(1, 0, 2, horizon))  # at the horizon
+    src_quads.append(Quadruple(1, 2, 3, 1))  # outside the shared relations
+    tgt_quads = [
+        Quadruple(int(rng.integers(n_ent)), int(rng.integers(2)),
+                  int(rng.integers(n_ent)), int(rng.integers(horizon)))
+        for _ in range(int(rng.integers(0, 15)))
+    ]
+    src = TemporalKG(Vocabulary.integers(n_ent), Vocabulary.integers(3),
+                     src_quads, kg_horizon)
+    tgt = TemporalKG(Vocabulary.integers(n_ent), Vocabulary.integers(2),
+                     tgt_quads, kg_horizon)
+    pairs = [AlignmentPair(1, int(rng.integers(n_ent)))]
+    for e in rng.choice(n_ent, size=int(rng.integers(0, n_ent)), replace=False):
+        pairs.append(AlignmentPair(int(e), int(rng.integers(n_ent))))
+    pairs.append(AlignmentPair(int(pairs[-1].source_entity), int(rng.integers(n_ent))))
+    order = rng.permutation(len(pairs))
+    aligns = AlignmentSet([pairs[i] for i in order])
+    already = {
+        Quadruple(int(rng.integers(n_ent)), int(rng.integers(2)),
+                  int(rng.integers(n_ent)), int(rng.integers(horizon)))
+        for _ in range(int(rng.integers(1, 6)))
+    }
+    return src, tgt, aligns, horizon, already
+
+
+def _logged_rank_fns(log, seed):
+    """Deterministic completions, about a third of them gated (None); every
+    call is appended to ``log``."""
+
+    def rank_object(e, r, t):
+        log.append(("object", e, r, t))
+        v = (7 * e + 3 * r + t + seed) % 9
+        return None if v < 3 else v % 6
+
+    def rank_subject(r, e, t):
+        log.append(("subject", r, e, t))
+        v = (5 * e + r + 2 * t + seed) % 9
+        return None if v < 3 else v % 6
+
+    return rank_object, rank_subject
+
+
+class TestTransferMatchesReference:
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_identical_records_in_order(self, seed):
+        src, tgt, aligns, horizon, already = _random_transfer_case(seed)
+        got_log, want_log = [], []
+        got = transfer_events(
+            src, tgt, aligns, *_logged_rank_fns(got_log, seed), horizon, 3, already
+        )
+        want = transfer_events_full_scan(
+            src, tgt, aligns, *_logged_rank_fns(want_log, seed), horizon, 3,
+            already,
+        )
+        assert got == want
+        assert got_log == want_log

@@ -12,6 +12,7 @@ from tkgdistill.evaluation import (
     nce_deviation_sweep,
     rank_of,
     rank_query,
+    ranks_of,
     transfer_ratio,
 )
 
@@ -55,6 +56,18 @@ class TestRankOf:
             shuffled = scores.copy()
             shuffled[[i for i in range(8) if i != true_id]] = scores[swap]
             assert rank_of(shuffled, true_id) == base
+
+
+class TestRanksOf:
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=100)
+    def test_equals_rank_of_row_by_row(self, seed):
+        rng = np.random.default_rng(seed)
+        q, e = int(rng.integers(1, 12)), int(rng.integers(1, 15))
+        scores = rng.integers(-2, 3, size=(q, e)).astype(np.float64)  # many ties
+        true_ids = rng.integers(0, e, size=q)
+        want = [rank_of(scores[i], int(true_ids[i])) for i in range(q)]
+        assert ranks_of(scores, true_ids).tolist() == want
 
 
 class TestMetricsArithmetic:
@@ -119,6 +132,23 @@ class TestEvaluate:
         a = evaluate(toy_params, toy_kg, test_quads, b=4, threads=1)
         b = evaluate(toy_params, toy_kg, test_quads, b=4, threads=4)
         assert a.to_json() == b.to_json()
+
+    def test_ranks_match_scalar_queries(self, toy_params, toy_kg):
+        test_quads = list(toy_kg.quadruples[:10])
+        cache = EncodingCache(toy_params, toy_kg, 4)
+        ranks = []
+        for t in sorted({q.time for q in test_quads}):
+            for q in (q for q in test_quads if q.time == t):
+                ranks.append(rank_query(toy_params, toy_kg,
+                                        (q.subject, q.relation, None, t),
+                                        q.object, cache=cache))
+                ranks.append(rank_query(toy_params, toy_kg,
+                                        (None, q.relation, q.object, t),
+                                        q.subject, cache=cache))
+        mrr, hits10 = metrics_from_ranks(ranks)
+        for threads in (1, 2):
+            report = evaluate(toy_params, toy_kg, test_quads, b=4, threads=threads)
+            assert (report.mrr, report.hits10) == (mrr, hits10)
 
     def test_causality_audit_counts_zero(self, toy_params, toy_kg):
         cache = EncodingCache(toy_params, toy_kg, 4)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from tkgdistill.encoder import encode_trajectories_fwd
+from tkgdistill import trainer as trainer_module
+from tkgdistill.distill import transfer_events
+from tkgdistill.encoder import encode_trajectories_fwd, init_network_params
 from tkgdistill.tkg import (
     AlignmentPair,
     AlignmentSet,
@@ -15,6 +17,7 @@ from tkgdistill.trainer import (
     EpochBatches,
     TrainConfig,
     _interval_bounds,
+    _student_top1_fns,
     combined_loss,
     combined_loss_and_grad,
     init_student_from_teacher,
@@ -90,6 +93,31 @@ class TestTrainConfig:
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
             parse_config_file(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("dim", 0), ("batch_size", 0), ("neighbors", 0),
+        ("reasoning_negatives", 0), ("alignment_negatives", -1),
+        ("time_intervals", 0), ("exact_solver_cap", 0),
+        ("split_train_steps", 0), ("split_val_steps", 0), ("split_test_steps", 0),
+        ("epochs", -2), ("warmup_epochs_before_generation", -1), ("patience", -1),
+        ("dropout", 1.0), ("dropout", -0.1),
+        ("margin_reasoning", 0.0), ("margin_alignment", -0.5),
+        ("learning_rate", 0.0),
+        ("pseudo_fraction_start", -0.1), ("pseudo_fraction_end", 1.5),
+        ("transfer_min_top1_prob", -0.5),
+    ])
+    def test_out_of_range_rejected(self, tmp_path, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            TrainConfig(**{name: value})
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"seed = 3\n{name} = {value}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {name} must be")):
+            parse_config_file(path)
+
+    def test_range_edges_accepted(self):
+        TrainConfig(epochs=0, warmup_epochs_before_generation=0, patience=0,
+                    dropout=0.0, pseudo_fraction_start=0.0,
+                    pseudo_fraction_end=1.0, transfer_min_top1_prob=2.0)
 
     def test_digest_stable_and_sensitive(self):
         assert TrainConfig().digest() == TrainConfig().digest()
@@ -349,3 +377,37 @@ class TestTrainLoop:
         assert phases <= {"teacher", "align", "student"}
         for row in state.log_rows:
             assert len(row) == 6
+
+
+class TestStudentCompletion:
+    def _transfer(self, monkeypatch, gate):
+        calls = []
+        score = trainer_module.score_object_queries
+
+        def counted(*args):
+            calls.append(args)
+            return score(*args)
+
+        monkeypatch.setattr(trainer_module, "score_object_queries", counted)
+        pair = tiny_pair()
+        kg = pair.target_incomplete
+        student = init_network_params(
+            len(kg.entities), len(kg.relations), 6, seed=1, dropout_rate=0.0
+        )
+        rank_obj, rank_subj = _student_top1_fns(student, kg, 3, gate)
+        records = transfer_events(
+            pair.source, kg, pair.alignments, rank_obj, rank_subj, horizon=5
+        )
+        return records, calls
+
+    def test_gate_above_one_scores_nothing(self, monkeypatch):
+        records, calls = self._transfer(monkeypatch, 2.0)
+        assert calls == []
+        assert records
+        assert {r.mechanism for r in records} == {"alignment-lookup"}
+
+    def test_gate_of_one_still_scores(self, monkeypatch):
+        records, calls = self._transfer(monkeypatch, 1.0)
+        assert calls
+        ungated, _ = self._transfer(monkeypatch, 0.0)
+        assert "student-top1" in {r.mechanism for r in ungated}
