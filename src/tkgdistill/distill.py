@@ -22,7 +22,6 @@ from .tkg import (
 
 @dataclass(frozen=True)
 class PseudoGenConfig:
-    candidate_scope: str = "neighbors-of-aligned"
     top_k_budget: int | float = 0.1  # count, or fraction of target entities
     min_similarity: float = 0.0
     exact_solver_cap: int = 64

@@ -1,8 +1,9 @@
 """Temporal knowledge graph data model, file I/O, splitting, and synthesis.
 
 A graph is a multiset of (subject, relation, object, time) quadruples over
-discrete time steps, plus a per-entity chronological adjacency index that
-serves temporal-neighbor lookups.
+discrete time steps, plus a sorted CSR neighbor index built once per graph:
+every lookup of an entity's latest neighbors before a time is one binary
+search and one gather.
 """
 
 from __future__ import annotations
@@ -68,12 +69,18 @@ class Vocabulary:
 
 
 class TemporalKG:
-    """Immutable temporal KG with a sorted adjacency index.
+    """Immutable temporal KG with a sorted CSR neighbor index.
 
-    The adjacency holds each quadruple twice: once under the subject (with
-    the object as neighbor) and once under the object (with the subject as
-    neighbor). Entries are sorted by (time, neighbor, relation), which fixes
-    a deterministic total order for neighbor sampling.
+    The index holds each quadruple twice: once under the subject (with the
+    object as neighbor) and once under the object (with the subject as
+    neighbor). Entries are sorted by (entity, time, neighbor, relation),
+    which fixes a deterministic total order for neighbor sampling. The
+    entries of entity ``e`` before time ``t`` are those whose key
+    ``entity * (horizon + 1) + time`` lies in ``[e * (horizon + 1),
+    e * (horizon + 1) + t)``, found by binary search, so an entity added to
+    the vocabulary after the graph was built has none. This is the
+    per-node sorted layout (T-CSR) of TGL (Zhou et al., VLDB 2022): memory
+    is O(|Q|) whatever the lookup width.
     """
 
     def __init__(
@@ -94,112 +101,44 @@ class TemporalKG:
         self.relations = relations
         self.quadruples = tuple(quadruples)
         self.horizon = horizon
-        self._adjacency = self._build_adjacency()
-        self._windows: dict[int, tuple] = {}
-
-    def _build_adjacency(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        raw: dict[int, list[tuple[int, int, int]]] = {}
-        for q in self.quadruples:
-            raw.setdefault(q.subject, []).append((q.time, q.object, q.relation))
-            raw.setdefault(q.object, []).append((q.time, q.subject, q.relation))
-        adjacency = {}
-        for e, entries in raw.items():
-            entries.sort()
-            arr = np.asarray(entries, dtype=np.int64).reshape(-1, 3)
-            adjacency[e] = (arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy())
-        return adjacency
+        s, r, o, t = np.asarray(self.quadruples, dtype=np.int64).reshape(-1, 4).T
+        ent, nbr = np.concatenate([s, o]), np.concatenate([o, s])
+        rel, tim = np.concatenate([r, r]), np.concatenate([t, t])
+        order = np.lexsort((rel, nbr, tim, ent))
+        ent, nbr, rel, tim = ent[order], nbr[order], rel[order], tim[order]
+        self._key = ent * (horizon + 1) + tim
+        # one zero entry past the end: padded lookup slots gather from it
+        self._nbr, self._rel, self._time = (np.append(x, 0) for x in (nbr, rel, tim))
 
     def adjacency(self, e: int) -> list[tuple[int, int, int]]:
-        """Adjacency entries of ``e`` as (neighbor, relation, time) tuples."""
-        if e not in self._adjacency:
-            return []
-        times, nbrs, rels = self._adjacency[e]
-        return [(int(n), int(r), int(t)) for t, n, r in zip(times, nbrs, rels)]
-
-    def adjacency_entry_count(self) -> int:
-        return sum(t.size for t, _, _ in self._adjacency.values())
-
-    def temporal_neighbors(self, e: int, t: int, b: int) -> list[tuple[int, int, int]]:
-        """Up to ``b`` most recent (neighbor, relation, time) entries before ``t``.
-
-        Strictly earlier than ``t``; the most recent ``b`` under the adjacency
-        total order. Returned in ascending order.
-        """
+        """Index entries of ``e`` as (neighbor, relation, time) tuples."""
         if not 0 <= e < len(self.entities):
             raise KeyError(f"unknown entity id {e}")
-        if e not in self._adjacency:
-            return []
-        times, nbrs, rels = self._adjacency[e]
-        hi = int(np.searchsorted(times, t, side="left"))
-        lo = max(0, hi - b)
-        return [
-            (int(nbrs[i]), int(rels[i]), int(times[i])) for i in range(lo, hi)
-        ]
-
-    # above this many table cells, fall back to per-row lookups
-    _WINDOW_TABLE_LIMIT = 50_000_000
-
-    def _window_table(self, b: int):
-        """Lazy (n_entities, horizon+1, b) tables of the b latest adjacency
-        entries strictly before each time step; shared by every lookup."""
-        cached = self._windows.get(b)
-        if cached is not None:
-            return cached
-        n = len(self.entities)
-        t_axis = np.arange(self.horizon + 1, dtype=np.int64)
-        shape = (n, self.horizon + 1, b)
-        nbr = np.zeros(shape, dtype=np.int64)
-        rel = np.zeros(shape, dtype=np.int64)
-        tim = np.zeros(shape, dtype=np.int64)
-        mask = np.zeros(shape, dtype=bool)
-        offs = np.arange(b, dtype=np.int64)
-        for e, (times, nbrs, rels) in self._adjacency.items():
-            hi = np.searchsorted(times, t_axis, side="left")
-            lo = np.maximum(0, hi - b)
-            idx = lo[:, None] + offs[None, :]
-            valid = idx < hi[:, None]
-            idx = np.minimum(idx, len(times) - 1)
-            nbr[e] = np.where(valid, nbrs[idx], 0)
-            rel[e] = np.where(valid, rels[idx], 0)
-            tim[e] = np.where(valid, times[idx], 0)
-            mask[e] = valid
-        self._windows[b] = (nbr, rel, tim, mask)
-        return self._windows[b]
+        width = self.horizon + 1
+        run = slice(*np.searchsorted(self._key, [e * width, (e + 1) * width]))
+        return list(zip(
+            self._nbr[run].tolist(), self._rel[run].tolist(), self._time[run].tolist()
+        ))
 
     def neighbor_arrays(
         self, ids: np.ndarray, t, b: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Padded (nbr, rel, time, mask) arrays of shape (len(ids), b).
 
-        ``t`` is one time for every row or one time per row of ``ids``.
+        Row i holds the ``b`` latest entries of ``ids[i]`` strictly before
+        its time, oldest first, then padding (zeros, mask False). ``t`` is
+        one time for every row or one time per row of ``ids``.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        t = np.broadcast_to(np.asarray(t, dtype=np.int64), ids.shape)
-        cells = len(self.entities) * (self.horizon + 1) * b
-        if cells <= self._WINDOW_TABLE_LIMIT:
-            nbr, rel, tim, mask = self._window_table(b)
-            # no entry lies before a time below 0; index -1 would wrap
-            t = np.clip(t, 0, self.horizon)
-            return nbr[ids, t], rel[ids, t], tim[ids, t], mask[ids, t]
-        n = len(ids)
-        nbr = np.zeros((n, b), dtype=np.int64)
-        rel = np.zeros((n, b), dtype=np.int64)
-        tim = np.zeros((n, b), dtype=np.int64)
-        mask = np.zeros((n, b), dtype=bool)
-        for row, (e, t_row) in enumerate(zip(ids.tolist(), t.tolist())):
-            entry = self._adjacency.get(e)
-            if entry is None:
-                continue
-            times, nbrs, rels = entry
-            hi = int(np.searchsorted(times, t_row, side="left"))
-            lo = max(0, hi - b)
-            k = hi - lo
-            if k:
-                nbr[row, :k] = nbrs[lo:hi]
-                rel[row, :k] = rels[lo:hi]
-                tim[row, :k] = times[lo:hi]
-                mask[row, :k] = True
-        return nbr, rel, tim, mask
+        # no entry lies before a time below 0; every entry lies before horizon
+        t = np.clip(np.asarray(t, dtype=np.int64), 0, self.horizon)
+        base = ids * (self.horizon + 1)
+        lo, hi = np.searchsorted(self._key, np.stack([base, base + t]))
+        first = np.maximum(lo, hi - b)
+        idx = first[..., None] + np.arange(b)
+        mask = idx < hi[..., None]
+        idx = np.where(mask, idx, self._key.size)
+        return self._nbr[idx], self._rel[idx], self._time[idx], mask
 
     def with_quadruples(self, quadruples: Sequence[Quadruple]) -> "TemporalKG":
         return TemporalKG(self.entities, self.relations, quadruples, self.horizon)

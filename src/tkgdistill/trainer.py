@@ -114,7 +114,6 @@ class TrainConfig:
     exact_solver_cap: int = 64
     transfer_min_top1_prob: float = 0.0  # 0 disables the gate; > 1 rejects all
     patience: int = 5
-    select_best_val: bool = True  # False keeps the final-epoch parameters
     split_train_steps: int = 28
     split_val_steps: int = 4
     split_test_steps: int = 8
@@ -123,7 +122,6 @@ class TrainConfig:
     pure_training: bool = False
     no_pseudo: bool = False
     no_event_transfer: bool = False
-    transfer_after_student: bool = False
 
     def __post_init__(self):
         for name in _RANGES:
@@ -610,13 +608,13 @@ def train_mpkd(
                           cfg.learning_rate)
                 align_losses.append(loss)
 
-        def do_transfer():
-            # transfer shares the pseudo-data warmup: both halves of the
-            # generated data start once the student has structure to offer
-            if cfg.no_event_transfer or cfg.pure_training or not len(state.alignments):
-                return
-            if epoch < cfg.warmup_epochs_before_generation:
-                return
+        # (b) event transfer; it shares the pseudo-data warmup: both halves of
+        # the generated data start once the student has structure to offer
+        if (
+            not (cfg.no_event_transfer or cfg.pure_training)
+            and len(state.alignments)
+            and epoch >= cfg.warmup_epochs_before_generation
+        ):
             rank_obj, rank_subj = _student_top1_fns(
                 student, state.union_kg, cfg.neighbors, cfg.transfer_min_top1_prob
             )
@@ -630,9 +628,6 @@ def train_mpkd(
                 state.union_kg = target_kg.with_quadruples(
                     gt_train + [r.quadruple for r in state.transferred]
                 )
-
-        if not cfg.transfer_after_student:
-            do_transfer()  # (b)
 
         # (c) student update: recent intervals first, Eq-weighted terms
         ps_quads = [r.quadruple for r in state.transferred]
@@ -681,9 +676,6 @@ def train_mpkd(
                       cfg.learning_rate)
             student_losses.append(loss)
 
-        if cfg.transfer_after_student:
-            do_transfer()  # (b), deferred variant
-
         # (d) pseudo-alignment generation under the paced budget
         fraction = pseudo_fraction_at(cfg, epoch)
         if not (cfg.no_pseudo or cfg.pure_training) and fraction > 0.0:
@@ -717,7 +709,7 @@ def train_mpkd(
         if val_quads and epoch - state.best_epoch >= cfg.patience:
             break
 
-    if cfg.select_best_val and state.best_epoch >= 0:
+    if state.best_epoch >= 0:
         state.student = best_student
         state.align = best_align
     else:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,10 +146,37 @@ class TestIntervals:
         assert [q.time for q in kg.quadruples] == [1, 2, 3]
 
 
+def adjacency_entry_count(kg):
+    return sum(len(kg.adjacency(e)) for e in range(len(kg.entities)))
+
+
+def temporal_neighbors(kg, e, t, b):
+    """Up to ``b`` latest (neighbor, relation, time) entries of ``e``
+    strictly before ``t``, oldest first, by a scan of ``kg.adjacency``."""
+    earlier = [entry for entry in kg.adjacency(e) if entry[2] < t]
+    return earlier[max(0, len(earlier) - b):]
+
+
+def reference_arrays(kg, ids, ts, b):
+    """``neighbor_arrays`` built row by row from ``temporal_neighbors``."""
+    nbr, rel, tim = (np.zeros((len(ids), b), dtype=np.int64) for _ in range(3))
+    mask = np.zeros((len(ids), b), dtype=bool)
+    for i, (e, t) in enumerate(zip(ids, ts)):
+        for j, (n, r, tt) in enumerate(temporal_neighbors(kg, int(e), int(t), b)):
+            nbr[i, j], rel[i, j], tim[i, j], mask[i, j] = n, r, tt, True
+    return nbr, rel, tim, mask
+
+
+def live_slots(arrays, i):
+    nbr, rel, tim, mask = arrays
+    return list(zip(nbr[i][mask[i]].tolist(), rel[i][mask[i]].tolist(),
+                    tim[i][mask[i]].tolist()))
+
+
 class TestAdjacency:
     def test_entry_count_is_twice_quads(self):
         kg = random_kg(np.random.default_rng(3), n_events=40)
-        assert kg.adjacency_entry_count() == 2 * len(kg.quadruples)
+        assert adjacency_entry_count(kg) == 2 * len(kg.quadruples)
 
     def test_sorted_total_order(self):
         kg = random_kg(np.random.default_rng(4), n_events=60)
@@ -155,39 +184,52 @@ class TestAdjacency:
             entries = [(t, n, r) for n, r, t in kg.adjacency(e)]
             assert entries == sorted(entries)
 
+    def test_entries_are_the_quadruples_of_each_endpoint(self):
+        kg = random_kg(np.random.default_rng(5), n_events=60)
+        for e in range(len(kg.entities)):
+            want = sorted(
+                [(q.time, q.object, q.relation)
+                 for q in kg.quadruples if q.subject == e]
+                + [(q.time, q.subject, q.relation)
+                   for q in kg.quadruples if q.object == e]
+            )
+            assert [(t, n, r) for n, r, t in kg.adjacency(e)] == want
+
 
 class TestTemporalNeighbors:
+    """The live slots of ``neighbor_arrays`` for one entity and time."""
+
     def test_no_history(self):
         kg = TemporalKG(
             Vocabulary.integers(2), Vocabulary.integers(1),
             [Quadruple(0, 0, 1, 5)], 8,
         )
-        assert kg.temporal_neighbors(0, 5, 4) == []
-        assert kg.temporal_neighbors(0, 3, 4) == []
+        for t in (5, 3):
+            assert not kg.neighbor_arrays(np.array([0]), t, 4)[3].any()
 
     def test_latest_b_strictly_before(self):
         quads = [Quadruple(0, 0, 1, t) for t in [1, 2, 3, 4, 5]]
         kg = TemporalKG(Vocabulary.integers(2), Vocabulary.integers(1), quads, 6)
-        got = kg.temporal_neighbors(0, 5, 3)
+        got = live_slots(kg.neighbor_arrays(np.array([0]), 5, 3), 0)
         assert [t for _, _, t in got] == [2, 3, 4]
 
     def test_unknown_entity_raises(self, toy_kg):
         with pytest.raises(KeyError):
-            toy_kg.temporal_neighbors(99, 3, 2)
+            toy_kg.adjacency(99)
 
     @given(st.integers(0, 6), st.integers(0, 8), st.integers(1, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=150)
     def test_causality_property(self, e, t, b, seed):
         kg = random_kg(np.random.default_rng(seed))
-        for _, _, t_entry in kg.temporal_neighbors(e, t, b):
-            assert t_entry < t
+        _, _, tim, mask = kg.neighbor_arrays(np.array([e]), t, b)
+        assert (tim[mask] < t).all()
 
     def test_window_matches_bruteforce(self):
         rng = np.random.default_rng(11)
         kg = random_kg(rng, n_events=50)
         for e in range(len(kg.entities)):
             for t in range(kg.horizon + 1):
-                got = kg.temporal_neighbors(e, t, 3)
+                got = live_slots(kg.neighbor_arrays(np.array([e]), t, 3), 0)
                 ordered = sorted(
                     ((tt, n, r) for n, r, tt in kg.adjacency(e) if tt < t)
                 )
@@ -196,51 +238,103 @@ class TestTemporalNeighbors:
 
 
 class TestNeighborArrays:
-    """Both paths of ``neighbor_arrays``: the shared window table and the
-    per-row lookup used above ``_WINDOW_TABLE_LIMIT`` cells."""
+    """``neighbor_arrays`` against ``reference_arrays``, padding included."""
 
     @staticmethod
-    def _both_paths(monkeypatch, kg, ids, t, b):
-        table = kg.neighbor_arrays(ids, t, b)
-        with monkeypatch.context() as m:
-            m.setattr(TemporalKG, "_WINDOW_TABLE_LIMIT", 0)
-            rows = kg.neighbor_arrays(ids, t, b)
-        return table, rows
+    def _assert_matches_reference(kg, ids, ts, b):
+        got = kg.neighbor_arrays(ids, ts, b)
+        want = reference_arrays(kg, ids, np.broadcast_to(ts, np.shape(ids)), b)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert np.array_equal(x, y)
+        return got
 
     @pytest.mark.parametrize("b", [1, 3, 6])
-    def test_per_row_fallback_matches_table_at_scalar_time(self, monkeypatch, b):
+    def test_matches_reference_at_scalar_time(self, b):
         kg = random_kg(np.random.default_rng(12), n_events=40)
         ids = np.arange(len(kg.entities))
-        for t in range(kg.horizon + 1):
-            table, rows = self._both_paths(monkeypatch, kg, ids, t, b)
-            for x, y in zip(table, rows):
-                assert x.dtype == y.dtype
-                assert np.array_equal(x, y)
+        for t in range(-2, kg.horizon + 1):
+            self._assert_matches_reference(kg, ids, t, b)
 
     @pytest.mark.parametrize("b", [1, 3, 6])
-    def test_per_row_fallback_matches_table_at_per_row_times(self, monkeypatch, b):
+    def test_matches_reference_at_per_row_times(self, b):
         rng = np.random.default_rng(13)
         kg = random_kg(rng, n_events=40)
         ids = rng.integers(0, len(kg.entities), size=30)
         ts = rng.integers(-2, kg.horizon + 1, size=30)
-        table, rows = self._both_paths(monkeypatch, kg, ids, ts, b)
-        for x, y in zip(table, rows):
-            assert np.array_equal(x, y)
+        got = self._assert_matches_reference(kg, ids, ts, b)
         # per-row times equal one scalar-time lookup per row
         for i, (e, t) in enumerate(zip(ids, ts)):
             one = kg.neighbor_arrays(np.array([e]), int(t), b)
-            for x, y in zip(table, one):
+            for x, y in zip(got, one):
                 assert np.array_equal(x[i], y[0])
 
-    def test_live_slots_are_the_temporal_neighbors(self, monkeypatch):
+    def test_dtypes(self):
+        kg = random_kg(np.random.default_rng(15), n_events=20)
+        nbr, rel, tim, mask = kg.neighbor_arrays(np.array([0, 1, 2]), 4, 3)
+        assert nbr.dtype == rel.dtype == tim.dtype == np.int64
+        assert mask.dtype == np.bool_
+
+    def test_entity_without_events_is_all_padding(self):
+        quads = [Quadruple(0, 0, 1, t) for t in range(4)]
+        kg = TemporalKG(Vocabulary.integers(3), Vocabulary.integers(1), quads, 5)
+        ids = np.array([2, 0, 2])
+        got = self._assert_matches_reference(kg, ids, 5, 2)
+        assert got[3].tolist() == [[False, False], [True, True], [False, False]]
+
+    def test_graph_without_quadruples(self):
+        kg = TemporalKG(Vocabulary.integers(4), Vocabulary.integers(1), [], 6)
+        nbr, rel, tim, mask = self._assert_matches_reference(
+            kg, np.arange(4), np.array([-2, 0, 3, 6]), 3
+        )
+        assert not mask.any() and not (nbr.any() or rel.any() or tim.any())
+
+    def test_entity_added_to_the_vocabulary_later_has_no_neighbors(self):
+        # load_alignments(extend=True) grows a vocabulary that graphs share
+        entities = Vocabulary(["a", "b"])
+        kg = TemporalKG(entities, Vocabulary(["r"]), [Quadruple(0, 0, 1, 0)], 3)
+        entities.add("c")
+        entities.add("d")
+        assert kg.adjacency(2) == kg.adjacency(3) == []
+        got = self._assert_matches_reference(kg, np.array([3, 1, 2]), 3, 2)
+        assert got[3].tolist() == [[False, False], [True, False], [False, False]]
+
+    def test_b_longer_than_any_history(self):
+        kg = random_kg(np.random.default_rng(16), n_events=30)
+        ids = np.arange(len(kg.entities))
+        b = 2 * len(kg.quadruples) + 3
+        _, _, _, mask = self._assert_matches_reference(kg, ids, kg.horizon, b)
+        assert mask.sum(axis=1).tolist() == [
+            len(kg.adjacency(e)) for e in range(len(kg.entities))
+        ]
+
+    def test_live_slots_are_the_temporal_neighbors(self):
         kg = random_kg(np.random.default_rng(14), n_events=40)
         steps = np.arange(-1, kg.horizon + 1)  # a negative time to the horizon
         ids = np.repeat(np.arange(len(kg.entities)), len(steps))
         ts = np.tile(steps, len(kg.entities))
-        for nbr, rel, tim, mask in self._both_paths(monkeypatch, kg, ids, ts, 3):
-            for i, (e, t) in enumerate(zip(ids, ts)):
-                live = list(zip(nbr[i][mask[i]], rel[i][mask[i]], tim[i][mask[i]]))
-                assert live == kg.temporal_neighbors(int(e), int(t), 3)
+        arrays = kg.neighbor_arrays(ids, ts, 3)
+        for i, (e, t) in enumerate(zip(ids, ts)):
+            assert live_slots(arrays, i) == temporal_neighbors(kg, int(e), int(t), 3)
+
+    def test_memory_is_linear_in_the_events(self):
+        # 20,000 entities x 41 steps x b=8 would be a 164 MB window table
+        rng = np.random.default_rng(17)
+        n, horizon = 20_000, 40
+        quads = [
+            Quadruple(int(s), 0, int(o), int(t))
+            for s, o, t in zip(rng.integers(0, n // 2, 2_000),
+                               rng.integers(n // 2, n, 2_000),
+                               rng.integers(0, horizon, 2_000))
+        ]
+        kg = TemporalKG(Vocabulary.integers(n), Vocabulary.integers(1), quads, horizon)
+        tracemalloc.start()
+        try:
+            kg.neighbor_arrays(np.arange(n), horizon, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestSplit:
