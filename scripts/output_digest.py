@@ -1,8 +1,9 @@
 """Print digests of a run's outputs, so two checkouts can be compared bitwise.
 
 For each seed this runs one ``experiments.run_transfer`` on the desk config
-(6 epochs, generation from epoch 2) and one on the paper_dims config
-(1 epoch), the training schedules of the perfbench workloads of the same
+(6 epochs, generation from epoch 2), one on the paper_dims config (1 epoch)
+and one on the scale5x config (1,000 entities per side, 1 epoch), the
+generators and training schedules of the perfbench workloads of the same
 names, and prints sha256 prefixes of the teacher, student and alignment
 parameter bytes and of the MetricsReport JSON without ``config_digest``
 (which changes whenever a TrainConfig field is added or removed).
@@ -43,6 +44,13 @@ CONFIGS = {
     "paper_dims": (
         GeneratorConfig(coverage=0.3),
         TrainConfig(epochs=1, warmup_epochs_before_generation=0),
+    ),
+    "scale5x": (
+        replace(
+            experiments.DESK_GENERATOR, source_entities=1000, target_entities=1000,
+            events_per_step=125, target_background_per_step=20,
+        ),
+        replace(experiments.DESK_TRAIN, epochs=1, warmup_epochs_before_generation=0),
     ),
 }
 

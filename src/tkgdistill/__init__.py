@@ -54,7 +54,6 @@ from .tkg import (
     SplitSpec,
     TemporalKG,
     Vocabulary,
-    expand_intervals,
     generate_synthetic_pair,
     inject_alignment_noise,
     load_quadruples,

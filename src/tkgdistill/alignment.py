@@ -159,12 +159,11 @@ def sample_alignment_negatives(
     exclusions: list[set[int]],
     neg_factor: int,
     rng: np.random.Generator,
-    max_attempts: int = 100,
 ) -> np.ndarray:
     """(P, N) negative target ids, uniform with per-pair exclusion sets.
 
-    Collisions are resampled up to ``max_attempts``; an irreducible collision
-    (tiny vocabularies) keeps the last draw but is flagged via -1.
+    Collisions are resampled up to 100 times; an irreducible collision
+    (tiny vocabularies) is flagged via -1.
     """
     p = len(exclusions)
     negs = rng.integers(0, n_targets, size=(p, neg_factor))
@@ -176,7 +175,7 @@ def sample_alignment_negatives(
             while int(negs[row, col]) in excl:
                 negs[row, col] = rng.integers(0, n_targets)
                 attempts += 1
-                if attempts >= max_attempts:
+                if attempts >= 100:
                     negs[row, col] = -1
                     break
     return negs

@@ -1,8 +1,10 @@
 """Command-line entry points: synth, train, eval, experiment.
 
 BLAS thread pools are pinned to one thread before numpy loads so that
-results are bitwise independent of the --threads flag; internal parallelism
-only ever partitions independent work.
+results are bitwise independent of ``eval --threads``, the one threaded
+command, which ranks independent time groups in parallel. ``train`` loads
+unfrozen vocabularies (an aligned entity may have no events yet); ``eval``
+loads the checkpoint's frozen ones, so an unknown symbol is an error.
 """
 
 from __future__ import annotations
@@ -96,9 +98,7 @@ def _load_bilingual(args, target_horizon: int):
         raise ValueError(
             "target file uses relations absent from the source graph"
         )
-    alignments = load_alignments(
-        args.align, source.entities, target.entities, extend=True
-    )
+    alignments = load_alignments(args.align, source.entities, target.entities)
     return source, target, alignments
 
 
@@ -157,12 +157,8 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = load_checkpoint(args.checkpoint)
-    history = load_quadruples(
-        args.history, ckpt.target_entities, ckpt.relations, strict=True
-    )
-    test = load_quadruples(
-        args.test, ckpt.target_entities, ckpt.relations, strict=True
-    )
+    history = load_quadruples(args.history, ckpt.target_entities, ckpt.relations)
+    test = load_quadruples(args.test, ckpt.target_entities, ckpt.relations)
     report = evaluate(
         ckpt.student, history, list(test.quadruples),
         b=args.neighbors, config_digest=ckpt.config_digest,
@@ -275,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--align", required=True)
     p.add_argument("--ablation", action="append", choices=ABLATIONS)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -22,15 +22,13 @@ from .tkg import (
 
 @dataclass(frozen=True)
 class PseudoGenConfig:
-    top_k_budget: int | float = 0.1  # count, or fraction of target entities
+    top_k_budget: int  # most pairs one round may select
     min_similarity: float = 0.0
-    exact_solver_cap: int = 64
+    exact_solver_cap: int = 64  # larger side of the largest exactly-solved block
     replace_existing: bool = True
 
     def __post_init__(self):
-        if isinstance(self.top_k_budget, float) and not 0 < self.top_k_budget <= 1:
-            raise ValueError("fractional budget must be in (0, 1]")
-        if isinstance(self.top_k_budget, int) and self.top_k_budget <= 0:
+        if self.top_k_budget <= 0:
             raise ValueError("budget must be positive")
         if self.exact_solver_cap < 1:
             raise ValueError("exact_solver_cap must be >= 1")
@@ -100,7 +98,6 @@ def generate_pseudo_alignments(
     table: CandidateTable,
     cfg: PseudoGenConfig,
     existing: AlignmentSet,
-    n_target_entities: int | None = None,
 ) -> PseudoGenResult:
     """Select pseudo pairs by one-to-one matching, throttled to the budget.
 
@@ -131,12 +128,7 @@ def generate_pseudo_alignments(
             int(table.target_ids[rc[1]]),
         )
     )
-    budget = cfg.top_k_budget
-    if isinstance(budget, float):
-        if n_target_entities is None:
-            raise ValueError("fractional budget needs n_target_entities")
-        budget = max(1, int(np.floor(budget * n_target_entities + 0.5)))
-    matches = matches[:budget]
+    matches = matches[: cfg.top_k_budget]
     matches = [rc for rc in matches if table.sim[rc] >= cfg.min_similarity]
 
     gt_by_target = {

@@ -20,9 +20,9 @@ from .tkg import TemporalKG
 class NetworkParams:
     """All trainable arrays of one encoder.
 
-    ``relation_emb`` holds 2R rows when reciprocal relations are enabled:
-    row r + n_relations is the reverse form of relation r. ``time_freq`` is
-    fixed after initialization and carries no gradient.
+    ``relation_emb`` holds 2R rows: row r + n_relations is the reverse
+    form of relation r. ``time_freq`` is fixed after initialization and
+    carries no gradient.
     """
 
     entity_emb: np.ndarray
@@ -70,14 +70,12 @@ def init_network_params(
     dim: int,
     seed: int,
     dropout_rate: float = 0.5,
-    reciprocal: bool = True,
 ) -> NetworkParams:
     """Seeded initialization; frequencies follow a geometric ladder 10^(-4i/d)."""
     rng = np.random.default_rng(seed)
     bound = 6.0 / np.sqrt(dim)
-    rows = 2 * n_relations if reciprocal else n_relations
     entity_emb = rng.uniform(-bound, bound, size=(n_entities, dim))
-    relation_emb = rng.uniform(-bound, bound, size=(rows, dim))
+    relation_emb = rng.uniform(-bound, bound, size=(2 * n_relations, dim))
     w_bound = np.sqrt(6.0 / (2 * dim))
     transform_W = rng.uniform(-w_bound, w_bound, size=(dim, dim))
     a_bound = np.sqrt(6.0 / (4 * dim + 1))

@@ -14,12 +14,6 @@ import numpy as np
 ParamDict = dict[str, np.ndarray]
 
 
-def assert_finite(x: np.ndarray, what: str = "array") -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError(f"non-finite values in {what}")
-    return x
-
-
 def softmax_masked(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax over the unmasked positions; masked positions are exactly 0.
 

@@ -8,8 +8,10 @@ search and one gather.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple, Sequence
+from pathlib import Path
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +32,7 @@ class Vocabulary:
     def __init__(self, symbols: Iterable[str] = (), frozen: bool = False):
         self._symbols: list[str] = []
         self._index: dict[str, int] = {}
+        self.frozen = False
         for s in symbols:
             self.add(s)
         self.frozen = frozen
@@ -38,18 +41,12 @@ class Vocabulary:
         idx = self._index.get(symbol)
         if idx is not None:
             return idx
-        if getattr(self, "frozen", False):
+        if self.frozen:
             raise KeyError(f"unknown symbol {symbol!r} (vocabulary is frozen)")
         idx = len(self._symbols)
         self._symbols.append(symbol)
         self._index[symbol] = idx
         return idx
-
-    def index(self, symbol: str) -> int:
-        try:
-            return self._index[symbol]
-        except KeyError:
-            raise KeyError(f"unknown symbol {symbol!r}") from None
 
     def symbol(self, idx: int) -> str:
         return self._symbols[idx]
@@ -64,8 +61,8 @@ class Vocabulary:
         return list(self._symbols)
 
     @classmethod
-    def integers(cls, n: int, frozen: bool = True) -> "Vocabulary":
-        return cls((str(i) for i in range(n)), frozen=frozen)
+    def integers(cls, n: int) -> "Vocabulary":
+        return cls((str(i) for i in range(n)), frozen=True)
 
 
 class TemporalKG:
@@ -80,7 +77,8 @@ class TemporalKG:
     e * (horizon + 1) + t)``, found by binary search, so an entity added to
     the vocabulary after the graph was built has none. This is the
     per-node sorted layout (T-CSR) of TGL (Zhou et al., VLDB 2022): memory
-    is O(|Q|) whatever the lookup width.
+    is O(|Q|) whatever the lookup width. Every key, and the end of the last
+    entity's run, must fit in int64.
     """
 
     def __init__(
@@ -97,6 +95,9 @@ class TemporalKG:
                 raise ValueError(f"relation id out of vocabulary in {q}")
             if not 0 <= q.time < horizon:
                 raise ValueError(f"time {q.time} outside horizon {horizon} in {q}")
+        if len(entities) * (horizon + 1) > np.iinfo(np.int64).max:
+            raise ValueError(f"{len(entities)} entities x horizon {horizon} "
+                             "overflow the int64 index key")
         self.entities = entities
         self.relations = relations
         self.quadruples = tuple(quadruples)
@@ -183,8 +184,22 @@ class SplitSpec:
 
 # ---------------------------------------------------------------------------
 # File formats. Quadruple files are UTF-8, LF, tab-separated
-# subject/relation/object/time; '#' lines are comments.
+# subject/relation/object/time; '#' lines are comments. A load appends unseen
+# symbols to the vocabularies it is given, unless they are frozen.
 # ---------------------------------------------------------------------------
+
+
+def numbered_lines(path) -> Iterator[tuple[int, str]]:
+    """(lineno, line) over a UTF-8 file, newlines read as in text mode;
+    undecodable bytes raise ``ValueError("path:lineno: ...")``."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        lineno = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        raise ValueError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from None
+    return enumerate(io.StringIO(text, newline=None), start=1)
 
 
 def _parse_fields(line: str, n: int, path: str, lineno: int) -> list[str]:
@@ -221,39 +236,35 @@ def load_quadruples(
     entity_vocab: Vocabulary | None = None,
     relation_vocab: Vocabulary | None = None,
     horizon: int | None = None,
-    strict: bool = False,
 ) -> TemporalKG:
     """Parse a quadruple TSV into a TemporalKG.
 
-    Without vocabularies, symbols are collected in file order. In strict mode
-    the given vocabularies are treated as frozen and unknown symbols raise.
+    Without vocabularies, symbols are collected in file order. Without a
+    horizon, it is one past the latest time.
     """
     entities = entity_vocab if entity_vocab is not None else Vocabulary()
     relations = relation_vocab if relation_vocab is not None else Vocabulary()
-    lookup = (lambda v, s: v.index(s)) if strict else (lambda v, s: v.add(s))
     quads: list[Quadruple] = []
-    max_t = -1
-    path = str(path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith("#") or not line.strip():
-                continue
-            s, r, o, t = _parse_fields(line, 4, path, lineno)
-            try:
-                quads.append(
-                    Quadruple(
-                        lookup(entities, s),
-                        lookup(relations, r),
-                        lookup(entities, o),
-                        _parse_time(t, path, lineno),
-                    )
-                )
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
-            max_t = max(max_t, quads[-1].time)
-    if horizon is None:
-        horizon = max_t + 1 if max_t >= 0 else 0
-    return TemporalKG(entities, relations, quads, horizon)
+    max_t, max_line = -1, 0
+    for lineno, line in numbered_lines(path):
+        if line.startswith("#") or not line.strip():
+            continue
+        s, r, o, t = _parse_fields(line, 4, path, lineno)
+        t = _parse_time(t, path, lineno)
+        if horizon is not None and t >= horizon:
+            raise ValueError(f"{path}:{lineno}: time {t} outside horizon {horizon}")
+        try:
+            quads.append(Quadruple(entities.add(s), relations.add(r), entities.add(o), t))
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
+        if t > max_t:
+            max_t, max_line = t, lineno
+    if horizon is not None:
+        return TemporalKG(entities, relations, quads, horizon)
+    try:
+        return TemporalKG(entities, relations, quads, max_t + 1)
+    except ValueError as exc:  # the latest time overflows the index key
+        raise ValueError(f"{path}:{max_line}: {exc}") from None
 
 
 def dump_quadruples(kg: TemporalKG, path) -> None:
@@ -265,88 +276,35 @@ def dump_quadruples(kg: TemporalKG, path) -> None:
             )
 
 
-def expand_intervals(
-    events: Sequence[tuple[int, int, int, int, int]]
-) -> list[Quadruple]:
-    """Unroll (subject, relation, object, t_start, t_end) into one quadruple per step."""
-    out: list[Quadruple] = []
-    for s, r, o, t_start, t_end in events:
-        if t_start > t_end:
-            raise ValueError(f"interval start {t_start} after end {t_end}")
-        out.extend(Quadruple(s, r, o, t) for t in range(t_start, t_end + 1))
-    return out
-
-
-def load_intervals(
-    path,
-    entity_vocab: Vocabulary | None = None,
-    relation_vocab: Vocabulary | None = None,
-    strict: bool = False,
-) -> TemporalKG:
-    """Parse a 5-field interval TSV, expanding each event to per-step quadruples."""
-    entities = entity_vocab if entity_vocab is not None else Vocabulary()
-    relations = relation_vocab if relation_vocab is not None else Vocabulary()
-    lookup = (lambda v, s: v.index(s)) if strict else (lambda v, s: v.add(s))
-    events: list[tuple[int, int, int, int, int]] = []
-    path = str(path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith("#") or not line.strip():
-                continue
-            s, r, o, ts, te = _parse_fields(line, 5, path, lineno)
-            t_start = _parse_time(ts, path, lineno)
-            t_end = _parse_time(te, path, lineno)
-            if t_start > t_end:
-                raise ValueError(f"{path}:{lineno}: interval start after end")
-            events.append(
-                (lookup(entities, s), lookup(relations, r), lookup(entities, o), t_start, t_end)
-            )
-    quads = expand_intervals(events)
-    horizon = max((q.time for q in quads), default=-1) + 1
-    return TemporalKG(entities, relations, quads, horizon)
-
-
 def load_alignments(
     path,
     source_vocab: Vocabulary,
     target_vocab: Vocabulary,
-    extend: bool = False,
 ) -> AlignmentSet:
     """Parse ``source<TAB>target[<TAB>confidence]`` lines; confidence defaults to 1.
 
-    With ``extend``, entities unseen in the event files are added to the
-    vocabularies (an aligned entity may have no recorded events yet).
+    An aligned entity may have no recorded events yet: an unfrozen
+    vocabulary gains it, a frozen one rejects it.
     """
     pairs: list[AlignmentPair] = []
-    path = str(path)
-    was_frozen = (source_vocab.frozen, target_vocab.frozen)
-    if extend:
-        source_vocab.frozen = target_vocab.frozen = False
-    lookup = (lambda v, s: v.add(s)) if extend else (lambda v, s: v.index(s))
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if line.startswith("#") or not line.strip():
-                    continue
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) not in (2, 3):
-                    raise ValueError(f"{path}:{lineno}: expected 2 or 3 fields")
-                conf = 1.0
-                if len(fields) == 3:
-                    conf = _parse_confidence(fields[2], path, lineno)
-                try:
-                    pairs.append(
-                        AlignmentPair(
-                            lookup(source_vocab, fields[0]),
-                            lookup(target_vocab, fields[1]),
-                            GROUND_TRUTH,
-                            conf,
-                        )
-                    )
-                except KeyError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
-    finally:
-        source_vocab.frozen, target_vocab.frozen = was_frozen
+    for lineno, line in numbered_lines(path):
+        if line.startswith("#") or not line.strip():
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) not in (2, 3):
+            raise ValueError(f"{path}:{lineno}: expected 2 or 3 fields")
+        conf = 1.0
+        if len(fields) == 3:
+            conf = _parse_confidence(fields[2], path, lineno)
+        try:
+            pairs.append(
+                AlignmentPair(
+                    source_vocab.add(fields[0]), target_vocab.add(fields[1]),
+                    GROUND_TRUTH, conf,
+                )
+            )
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
     return AlignmentSet(pairs)
 
 

@@ -46,6 +46,7 @@ from .tkg import (
     Quadruple,
     SplitSpec,
     TemporalKG,
+    numbered_lines,
     split_by_time,
 )
 
@@ -65,7 +66,7 @@ def _at_least(low):
 _RANGES = {
     **dict.fromkeys(
         ("dim", "batch_size", "neighbors", "reasoning_negatives",
-         "alignment_negatives", "time_intervals", "exact_solver_cap",
+         "alignment_negatives", "time_intervals",
          "split_train_steps", "split_val_steps", "split_test_steps"),
         _at_least(1),
     ),
@@ -111,7 +112,6 @@ class TrainConfig:
     pseudo_fraction_end: float = 0.40
     pseudo_min_similarity: float = 0.0
     pseudo_replace_existing: bool = True
-    exact_solver_cap: int = 64
     transfer_min_top1_prob: float = 0.0  # 0 disables the gate; > 1 rejects all
     patience: int = 5
     split_train_steps: int = 28
@@ -149,26 +149,25 @@ def parse_config_file(path) -> TrainConfig:
     """``key = value`` lines mirroring TrainConfig fields; unknown keys raise."""
     by_name = {f.name: f for f in fields(TrainConfig)}
     overrides = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = (part.strip() for part in text.partition("="))
-            if key not in by_name:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            ftype = by_name[key].type
-            if ftype == "bool":
-                if value.lower() not in _BOOL_WORDS:
-                    raise ValueError(f"{path}:{lineno}: bad boolean {value!r}")
-                overrides[key] = _BOOL_WORDS[value.lower()]
-            else:
-                overrides[key] = _parse_number(value, ftype, path, lineno)
-                problem = key in _RANGES and _range_error(key, overrides[key])
-                if problem:
-                    raise ValueError(f"{path}:{lineno}: {problem}")
+    for lineno, line in numbered_lines(path):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = (part.strip() for part in text.partition("="))
+        if key not in by_name:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        ftype = by_name[key].type
+        if ftype == "bool":
+            if value.lower() not in _BOOL_WORDS:
+                raise ValueError(f"{path}:{lineno}: bad boolean {value!r}")
+            overrides[key] = _BOOL_WORDS[value.lower()]
+        else:
+            overrides[key] = _parse_number(value, ftype, path, lineno)
+            problem = key in _RANGES and _range_error(key, overrides[key])
+            if problem:
+                raise ValueError(f"{path}:{lineno}: {problem}")
     return TrainConfig(**overrides)
 
 
@@ -773,12 +772,9 @@ def _generate_pseudo_round(
     gen_cfg = PseudoGenConfig(
         top_k_budget=budget,
         min_similarity=cfg.pseudo_min_similarity,
-        exact_solver_cap=cfg.exact_solver_cap,
         replace_existing=cfg.pseudo_replace_existing,
     )
-    result = generate_pseudo_alignments(
-        table, gen_cfg, AlignmentSet(gt_pairs), n_targets
-    )
+    result = generate_pseudo_alignments(table, gen_cfg, AlignmentSet(gt_pairs))
     dropped = {id(old) for old, _ in result.replaced}
     kept_gt = [p for p in gt_pairs if id(p) not in dropped]
     new_pseudo = result.added + [new for _, new in result.replaced]

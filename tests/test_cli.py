@@ -97,6 +97,16 @@ class TestTrain:
         rows = (out / "log.tsv").read_text().splitlines()[1:]
         assert all(row.split("\t")[4] == "0" for row in rows)
 
+    def test_threads_flag_rejected(self, tmp_path, synth_dir):
+        res = run_cli(
+            "train", "--threads", "1", "--source", synth_dir / "source.tsv",
+            "--target", synth_dir / "target.tsv", "--align",
+            synth_dir / "alignment.tsv", "--out", tmp_path / "out",
+        )
+        assert res.returncode == 2
+        assert "unrecognized arguments: --threads 1" in res.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_seeded_reruns_identical_checkpoints(self, tmp_path, synth_dir, train_dir):
         out2 = tmp_path / "rerun"
         cfg = tmp_path / "cfg.ini"
@@ -127,6 +137,21 @@ class TestEval:
             "mrr", "hits10", "query_count", "per_step", "config_digest", "seed"
         }
         assert (out / "per_step.csv").read_text().startswith("time,mrr,hits10")
+
+    def test_unknown_symbol_rejected_by_frozen_vocabulary(
+        self, tmp_path, synth_dir, train_dir
+    ):
+        test = tmp_path / "test.tsv"
+        first = (synth_dir / "target.tsv").read_text().splitlines()[0]
+        test.write_text(f"{first}\nnot-an-entity\t0\t0\t9\n")
+        res = run_cli(
+            "eval", "--checkpoint", train_dir / "checkpoint.mpkd",
+            "--history", synth_dir / "target.tsv", "--test", test,
+            "--out", tmp_path / "eval",
+        )
+        assert res.returncode == 1
+        assert (f"{test}:2: unknown symbol 'not-an-entity' (vocabulary is frozen)"
+                in res.stderr)
 
     def test_corrupted_magic_fails_cleanly(self, tmp_path, train_dir):
         bad = tmp_path / "bad.mpkd"

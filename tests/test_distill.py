@@ -134,14 +134,6 @@ class TestPseudoGeneration:
         )
         assert [(p.source_entity, p.target_entity) for p in res.added] == [(0, 0)]
 
-    def test_fractional_budget(self):
-        sim = np.full((4, 4), 0.5) + np.eye(4) * 0.4
-        res = generate_pseudo_alignments(
-            table_from(sim), PseudoGenConfig(top_k_budget=0.5), AlignmentSet([]),
-            n_target_entities=4,
-        )
-        assert len(res.added) == 2
-
     def test_replacement_requires_dominance(self):
         existing = AlignmentSet([AlignmentPair(9, 0, "ground-truth", 1.0)])
         table = table_from([[0.8]], existing_sim={(9, 0): 0.9})

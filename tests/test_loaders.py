@@ -1,0 +1,110 @@
+"""The three text loaders (quadruples, alignments, training config): every
+malformed line is a line-numbered ValueError, and nothing else escapes."""
+
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tkgdistill.tkg import TemporalKG, Vocabulary, load_alignments, load_quadruples
+from tkgdistill.trainer import parse_config_file
+
+VALID = {
+    "quadruples": ["a\tr\tb\t0", "b\tr\tc\t3", "# comment", ""],
+    "alignments": ["a\tx", "b\ty\t0.5", "# comment", ""],
+    "config": ["dim = 16", "seed = 3", "no_pseudo = true", "# comment", ""],
+}
+
+
+def load(kind: str, path, frozen: bool):
+    if kind == "quadruples":
+        return load_quadruples(
+            path, Vocabulary("abc", frozen=frozen), Vocabulary("r", frozen=frozen)
+        )
+    if kind == "alignments":
+        return load_alignments(
+            path, Vocabulary("ab", frozen=frozen), Vocabulary("xy", frozen=frozen)
+        )
+    return parse_config_file(path)
+
+
+def _summary(loaded):
+    if isinstance(loaded, TemporalKG):
+        return (loaded.quadruples, loaded.entities.symbols(),
+                loaded.relations.symbols(), loaded.horizon)
+    return repr(loaded)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.txt"
+
+
+class TestEncoding:
+    @pytest.mark.parametrize("kind", sorted(VALID))
+    def test_undecodable_line_is_named(self, tmp_path, kind):
+        path = tmp_path / "in.txt"
+        good = "\r\n".join(VALID[kind]).encode() + b"\r\n"
+        path.write_bytes(good + b"caf\xe9\r\n" + good)
+        line = len(VALID[kind]) + 1
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: invalid UTF-8"):
+            load(kind, path, frozen=False)
+
+    def test_line_after_lone_carriage_returns(self, tmp_path):
+        path = tmp_path / "cr.tsv"
+        path.write_bytes(b"a\tr\tb\t0\rb\tr\tc\t1\r\n\x80\n")
+        with pytest.raises(ValueError, match=r"cr\.tsv:3: invalid UTF-8"):
+            load_quadruples(path)
+
+    @pytest.mark.parametrize("kind", sorted(VALID))
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_other_line_endings_parse_as_lf(self, tmp_path, kind, newline):
+        lf, other = tmp_path / "lf.txt", tmp_path / "other.txt"
+        lf.write_bytes(("\n".join(VALID[kind]) + "\n").encode())
+        other.write_bytes((newline.join(VALID[kind]) + newline).encode())
+        assert _summary(load(kind, lf, False)) == _summary(load(kind, other, False))
+
+
+def _fields(kind: str):
+    if kind == "config":
+        return st.sampled_from(["dim", "epochs", "dropout", "no_pseudo", "seed",
+                                "exact_solver_cap", "=", "", " "])
+    return st.sampled_from(["a", "b", "r", "x", "zz", "", "#"])
+
+
+_TOKENS = st.one_of(
+    st.integers(-3, 10**30).map(str),
+    st.sampled_from(["nan", "-inf", "1e999", "0.5", "true", "yes", "1_0", " "]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+            max_size=8),
+)
+
+
+@st.composite
+def fuzz_line(draw, kind: str) -> bytes:
+    parts = draw(st.lists(st.one_of(_fields(kind), _TOKENS), max_size=5))
+    sep = draw(st.sampled_from(["\t", " = ", "="]))
+    raw = bytearray(sep.join(parts).encode())
+    if draw(st.booleans()):  # a byte that may not decode
+        pos = draw(st.integers(0, len(raw)))
+        raw[pos:pos] = bytes([draw(st.integers(0x80, 0xFF))])
+    return bytes(raw)
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("kind", sorted(VALID))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_malformed_line_is_a_numbered_value_error(self, fuzz_path, kind, data):
+        good = st.lists(st.sampled_from(VALID[kind]), max_size=4)
+        before, after = data.draw(good), data.draw(good)
+        newline = data.draw(st.sampled_from(["\n", "\r\n"])).encode()
+        line = data.draw(fuzz_line(kind))
+        body = [s.encode() for s in before] + [line] + [s.encode() for s in after]
+        fuzz_path.write_bytes(newline.join(body) + newline)
+        try:
+            load(kind, fuzz_path, frozen=data.draw(st.booleans()))
+        except ValueError as exc:
+            # the lines around the fuzzed one are valid, so it is the culprit
+            assert str(exc).startswith(f"{fuzz_path}:{len(before) + 1}: "), exc

@@ -14,11 +14,9 @@ from tkgdistill.tkg import (
     TemporalKG,
     Vocabulary,
     dump_quadruples,
-    expand_intervals,
     generate_synthetic_pair,
     inject_alignment_noise,
     load_alignments,
-    load_intervals,
     load_quadruples,
     split_by_time,
     subsample_events,
@@ -39,8 +37,8 @@ class TestLoading:
         path.write_text("e1\tr1\te2\t5\n")
         kg = load_quadruples(path)
         assert len(kg.quadruples) == 1
-        assert len(kg.adjacency(kg.entities.index("e1"))) == 1
-        assert len(kg.adjacency(kg.entities.index("e2"))) == 1
+        assert kg.entities.symbols() == ["e1", "e2"]
+        assert len(kg.adjacency(0)) == len(kg.adjacency(1)) == 1
 
     def test_duplicates_retained(self, tmp_path):
         path = tmp_path / "dup.tsv"
@@ -62,8 +60,14 @@ class TestLoading:
                 path,
                 Vocabulary(["a", "b"], frozen=True),
                 Vocabulary(["r"], frozen=True),
-                strict=True,
             )
+
+    def test_time_outside_given_horizon_reports_lineno(self, tmp_path):
+        path = tmp_path / "h.tsv"
+        path.write_text("a\tr\tb\t2\na\tr\tb\t3\n")
+        assert load_quadruples(path, horizon=4).horizon == 4
+        with pytest.raises(ValueError, match=r"h\.tsv:2: time 3 outside horizon 3"):
+            load_quadruples(path, horizon=3)
 
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -99,11 +103,22 @@ class TestLoading:
     def test_alignment_extend_adds_eventless_entities(self, tmp_path):
         path = tmp_path / "a.tsv"
         path.write_text("s0\tt9\n")
+        src = Vocabulary(["s0"])
+        tgt = Vocabulary(["t0"])
+        pairs = load_alignments(path, src, tgt)
+        assert pairs.pairs[0].target_entity == 1
+        assert tgt.symbols() == ["t0", "t9"]
+
+    def test_frozen_alignment_vocabulary_rejects_unseen_symbol(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_text("s0\tt0\n# note\ns0\tzz\n")
         src = Vocabulary(["s0"], frozen=True)
         tgt = Vocabulary(["t0"], frozen=True)
-        pairs = load_alignments(path, src, tgt, extend=True)
-        assert pairs.pairs[0].target_entity == tgt.index("t9")
-        assert tgt.frozen  # frozen state restored after the load
+        with pytest.raises(
+            ValueError, match=r"a\.tsv:3: unknown symbol 'zz' \(vocabulary is frozen\)"
+        ):
+            load_alignments(path, src, tgt)
+        assert tgt.symbols() == ["t0"]
 
     def test_alignment_non_numeric_confidence_reports_lineno(self, tmp_path):
         path = tmp_path / "a.tsv"
@@ -121,29 +136,6 @@ class TestLoading:
         tgt = Vocabulary(["t0"], frozen=True)
         with pytest.raises(ValueError, match=rf"a\.tsv:2: non-finite confidence '{text}'"):
             load_alignments(path, src, tgt)
-
-
-class TestIntervals:
-    def test_degenerate(self):
-        assert expand_intervals([(0, 0, 1, 3, 3)]) == [Quadruple(0, 0, 1, 3)]
-
-    def test_expansion(self):
-        quads = expand_intervals([(0, 0, 1, 2, 5)])
-        assert [q.time for q in quads] == [2, 3, 4, 5]
-
-    def test_order_preserving_concat(self):
-        quads = expand_intervals([(0, 0, 1, 1, 2), (1, 0, 0, 0, 1)])
-        assert [(q.subject, q.time) for q in quads] == [(0, 1), (0, 2), (1, 0), (1, 1)]
-
-    def test_reversed_interval_raises(self):
-        with pytest.raises(ValueError):
-            expand_intervals([(0, 0, 1, 5, 2)])
-
-    def test_interval_file(self, tmp_path):
-        path = tmp_path / "iv.tsv"
-        path.write_text("a\tr\tb\t1\t3\n")
-        kg = load_intervals(path)
-        assert [q.time for q in kg.quadruples] == [1, 2, 3]
 
 
 def adjacency_entry_count(kg):
@@ -290,7 +282,7 @@ class TestNeighborArrays:
         assert not mask.any() and not (nbr.any() or rel.any() or tim.any())
 
     def test_entity_added_to_the_vocabulary_later_has_no_neighbors(self):
-        # load_alignments(extend=True) grows a vocabulary that graphs share
+        # load_alignments into an unfrozen vocabulary grows what graphs share
         entities = Vocabulary(["a", "b"])
         kg = TemporalKG(entities, Vocabulary(["r"]), [Quadruple(0, 0, 1, 0)], 3)
         entities.add("c")
@@ -335,6 +327,34 @@ class TestNeighborArrays:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_key_that_would_wrap_is_rejected(self):
+        # 4 x (2**62 + 2) exceeds int64: entity 2's key would wrap below 0's
+        with pytest.raises(ValueError, match="overflow the int64 index key"):
+            TemporalKG(Vocabulary.integers(4), Vocabulary.integers(1),
+                       [Quadruple(2, 0, 3, 2**62)], 2**62 + 1)
+
+    def test_time_beyond_int64_is_a_value_error(self, tmp_path):
+        with pytest.raises(ValueError, match="overflow the int64 index key"):
+            TemporalKG(Vocabulary.integers(4), Vocabulary.integers(1),
+                       [Quadruple(2, 0, 3, 10**23)], 10**23 + 1)
+        path = tmp_path / "far.tsv"
+        path.write_text(f"a\tr\tb\t0\n# later\nb\tr\tc\t{10**23}\na\tr\tc\t1\n")
+        with pytest.raises(ValueError, match=r"far\.tsv:3: .*overflow the int64"):
+            load_quadruples(path)
+
+    def test_largest_key_that_fits(self):
+        # 2 x (horizon + 1) == 2**63 - 2: every key and run end fits in int64
+        horizon = 2**62 - 2
+        kg = TemporalKG(Vocabulary.integers(2), Vocabulary.integers(1),
+                        [Quadruple(0, 0, 1, horizon - 1)], horizon)
+        assert kg.adjacency(0) == [(1, 0, horizon - 1)]
+        assert kg.adjacency(1) == [(0, 0, horizon - 1)]
+        nbr, _, time, mask = kg.neighbor_arrays(np.array([0, 1]), horizon, 2)
+        assert nbr[mask].tolist() == [1, 0]
+        assert time[mask].tolist() == [horizon - 1] * 2
+        with pytest.raises(ValueError, match="overflow"):
+            TemporalKG(Vocabulary.integers(2), Vocabulary.integers(1), [], horizon + 1)
 
 
 class TestSplit:

@@ -80,6 +80,8 @@ class TestTrainConfig:
         pytest.param("flux_capacitor = 1\n", ":1: unknown config key", id="unknown-key"),
         pytest.param("dim = 16\nlayers = 2\n", ":2: unknown config key 'layers'",
                      id="layers"),
+        pytest.param("seed = 1\n\nexact_solver_cap = 64\n",
+                     ":3: unknown config key 'exact_solver_cap'", id="exact_solver_cap"),
         pytest.param("dim = 16\nepochs = abc\n", ":2: bad int value 'abc'", id="bad-int"),
         pytest.param("learning_rate = fast\n", ":1: bad float value 'fast'",
                      id="bad-float"),
@@ -97,7 +99,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("name, value", [
         ("dim", 0), ("batch_size", 0), ("neighbors", 0),
         ("reasoning_negatives", 0), ("alignment_negatives", -1),
-        ("time_intervals", 0), ("exact_solver_cap", 0),
+        ("time_intervals", 0),
         ("split_train_steps", 0), ("split_val_steps", 0), ("split_test_steps", 0),
         ("epochs", -2), ("warmup_epochs_before_generation", -1), ("patience", -1),
         ("dropout", 1.0), ("dropout", -0.1),
