@@ -8,6 +8,11 @@ names, and prints sha256 prefixes of the teacher, student and alignment
 parameter bytes and of the MetricsReport JSON without ``config_digest``
 (which changes whenever a TrainConfig field is added or removed).
 
+An ``eval`` line per seed covers the read-only path: the generator and
+untrained d=128 checkpoint of the eval_ckpt perfbench workload, ranked by an
+in-process ``tkgdistill eval``, digested as its ``metrics.json`` without
+``config_digest``.
+
     python3 scripts/output_digest.py --seeds 0 1
 
 The package is imported from this checkout's ``src/``, so running the same
@@ -27,13 +32,22 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tkgdistill import experiments  # noqa: E402
-from tkgdistill.tkg import GeneratorConfig, generate_synthetic_pair  # noqa: E402
+from tkgdistill import cli, experiments  # noqa: E402
+from tkgdistill.alignment import init_align_params  # noqa: E402
+from tkgdistill.checkpoint import Checkpoint, save_checkpoint  # noqa: E402
+from tkgdistill.encoder import init_network_params  # noqa: E402
+from tkgdistill.tkg import (  # noqa: E402
+    GeneratorConfig,
+    dump_quadruples,
+    generate_synthetic_pair,
+    split_by_time,
+)
 from tkgdistill.trainer import TrainConfig  # noqa: E402
 
 CONFIGS = {
@@ -55,6 +69,47 @@ CONFIGS = {
 }
 
 
+EVAL_GENERATOR = GeneratorConfig(
+    source_entities=2000, target_entities=2000, events_per_step=200,
+    target_background_per_step=280,
+)
+EVAL_DIM = 128
+
+
+def _report_sha(report_json: str) -> str:
+    doc = json.loads(report_json)
+    del doc["config_digest"]
+    return _sha(json.dumps(doc, sort_keys=True).encode())
+
+
+def _eval_digest(seed: int) -> str:
+    """``tkgdistill eval`` of a seeded, untrained checkpoint; history is the
+    full target graph, test its test span."""
+    pair = generate_synthetic_pair(EVAL_GENERATOR, seed)
+    kg = pair.target_full
+    _, _, test = split_by_time(kg, TrainConfig().split())
+    n_rel = len(kg.relations)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        dump_quadruples(kg, work / "history.tsv")
+        dump_quadruples(test, work / "test.tsv")
+        save_checkpoint(Checkpoint(
+            init_network_params(len(pair.source.entities), n_rel, EVAL_DIM, seed + 1),
+            init_network_params(len(kg.entities), n_rel, EVAL_DIM, seed + 2),
+            init_align_params(EVAL_DIM, seed + 3),
+            pair.source.entities, kg.entities, kg.relations,
+            TrainConfig(dim=EVAL_DIM).digest(), seed,
+        ), work / "checkpoint.mpkd")
+        rc = cli.main([
+            "eval", "--checkpoint", str(work / "checkpoint.mpkd"),
+            "--history", str(work / "history.tsv"), "--test", str(work / "test.tsv"),
+            "--out", str(work / "eval"),
+        ])
+        if rc != 0:
+            raise RuntimeError(f"tkgdistill eval exited with {rc}")
+        return _report_sha((work / "eval" / "metrics.json").read_text(encoding="utf-8"))
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
@@ -73,15 +128,15 @@ def main() -> int:
             report, state = experiments.run_transfer(
                 pair, replace(cfg, seed=seed), experiments.TeacherBank()
             )
-            doc = json.loads(report.to_json())
-            del doc["config_digest"]
-            report_bytes = json.dumps(doc, sort_keys=True).encode()
             print(
                 f"{name} seed {seed}: teacher {_params_sha(state.teacher)} "
                 f"student {_params_sha(state.student)} "
-                f"align {_params_sha(state.align)} report {_sha(report_bytes)}",
+                f"align {_params_sha(state.align)} "
+                f"report {_report_sha(report.to_json())}",
                 flush=True,
             )
+    for seed in args.seeds:
+        print(f"eval seed {seed}: metrics {_eval_digest(seed)}", flush=True)
     return 0
 
 

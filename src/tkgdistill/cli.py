@@ -3,8 +3,9 @@
 BLAS thread pools are pinned to one thread before numpy loads so that
 results are bitwise independent of ``eval --threads``, the one threaded
 command, which ranks independent time groups in parallel. ``train`` loads
-unfrozen vocabularies (an aligned entity may have no events yet); ``eval``
-loads the checkpoint's frozen ones, so an unknown symbol is an error.
+unfrozen vocabularies (an aligned entity may have no events yet) and freezes
+them once the alignment file is read; ``eval`` loads the checkpoint's frozen
+ones, so an unknown symbol is an error.
 """
 
 from __future__ import annotations
@@ -99,7 +100,15 @@ def _load_bilingual(args, target_horizon: int):
             "target file uses relations absent from the source graph"
         )
     alignments = load_alignments(args.align, source.entities, target.entities)
-    return source, target, alignments
+    # The alignment file may name entities without events: build both graphs
+    # over the final vocabularies, then freeze those so no graph outgrows them.
+    for vocab in (source.entities, target.entities, source.relations):
+        vocab.frozen = True
+    return (
+        source.with_quadruples(source.quadruples),
+        target.with_quadruples(target.quadruples),
+        alignments,
+    )
 
 
 def cmd_train(args) -> int:

@@ -4,6 +4,13 @@ over each entity's most recent neighbors.
 Forward passes return caches; the matching ``*_bwd`` functions consume
 (grad, cache) and accumulate into a gradient dict, keeping every gradient
 analytic and checkable against central differences.
+
+A cache keeps only what the backward cannot gather again: the neighbor
+index arrays, attention weights, the (n, d) aggregate, the ReLU mask and
+the dropout mask. The backward gathers the centre and neighbor rows of
+``entity_emb`` again, which gives the forward's values because the
+parameters do not change between a forward and its backward. So a
+trajectory of 28 steps keeps no (n, b, d) block per step.
 """
 
 from __future__ import annotations
@@ -136,9 +143,6 @@ def encode_batch_fwd(
     has_nb = mask.any(axis=1)
 
     h_c = params.entity_emb[ids]  # (n, d)
-    # Padded slots hold entity 0 but get exactly zero attention weight, so
-    # they add nothing to ``agg`` or to any gradient; h_n stays unmasked.
-    h_n = params.entity_emb[nbr]  # (n, b, d)
     delta = (t.reshape(-1, 1) - tim) * mask
     kappa_tab = time_table(params, int(delta.max(initial=0)))
 
@@ -151,7 +155,10 @@ def encode_batch_fwd(
     )
     alpha = softmax_masked_rows(logits, mask)  # no-history rows come back zero
 
-    agg = (alpha[:, None, :] @ h_n)[:, 0]
+    # Padded slots hold entity 0 but get exactly zero attention weight, so
+    # they add nothing to ``agg`` or to any gradient; the (n, b, d) neighbor
+    # block stays unmasked and is freed as soon as ``agg`` exists.
+    agg = (alpha[:, None, :] @ params.entity_emb[nbr])[:, 0]
     agg = np.where(has_nb[:, None], agg, h_c)  # fallback aggregates the raw row
     msg = agg @ params.transform_W
     if dropout_rng is not None and params.dropout_rate > 0.0:
@@ -162,8 +169,8 @@ def encode_batch_fwd(
     out = np.maximum(msg, 0.0)
     cache = {
         "ids": ids, "nbr": nbr, "rel": rel, "tim": tim, "mask": mask,
-        "delta": delta, "kappa_tab": kappa_tab, "has_nb": has_nb, "h_c": h_c,
-        "h_n": h_n, "alpha": alpha, "agg": agg, "msg": msg, "dmask": dmask,
+        "delta": delta, "kappa_tab": kappa_tab, "has_nb": has_nb,
+        "alpha": alpha, "agg": agg, "live": msg > 0.0, "dmask": dmask,
     }
     return out, cache
 
@@ -176,12 +183,15 @@ def _sum_by(idx: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
 def encode_batch_bwd(
     grad_out: np.ndarray, cache: dict, params: NetworkParams, grads: ParamDict
 ) -> None:
-    """Accumulate d loss / d (entity_emb, relation_emb, transform_W, attn_a)."""
-    ids, nbr, mask, has_nb = cache["ids"], cache["nbr"], cache["mask"], cache["has_nb"]
-    h_c, h_n, alpha, agg = cache["h_c"], cache["h_n"], cache["alpha"], cache["agg"]
-    kappa_tab = cache["kappa_tab"]
+    """Accumulate d loss / d (entity_emb, relation_emb, transform_W, attn_a).
 
-    g_msg = grad_out * (cache["msg"] > 0.0)
+    ``params`` must be the parameters of the forward that made ``cache``:
+    the centre and neighbor rows are gathered from them again.
+    """
+    ids, nbr, mask, has_nb = cache["ids"], cache["nbr"], cache["mask"], cache["has_nb"]
+    alpha, agg, kappa_tab = cache["alpha"], cache["agg"], cache["kappa_tab"]
+
+    g_msg = grad_out * cache["live"]
     if cache["dmask"] is not None:
         g_msg = g_msg * cache["dmask"]
     grads["transform_W"] += agg.T @ g_msg
@@ -190,7 +200,7 @@ def encode_batch_bwd(
     g_hc = np.where(has_nb[:, None], 0.0, g_agg)  # fallback path
     g_agg = np.where(has_nb[:, None], g_agg, 0.0)
 
-    g_alpha = (h_n @ g_agg[:, :, None])[..., 0]
+    g_alpha = (params.entity_emb[nbr] @ g_agg[:, :, None])[..., 0]
     # zero on padded slots, where alpha is zero
     g_logits = softmax_rows_backward(alpha, g_alpha)
 
@@ -205,7 +215,7 @@ def encode_batch_bwd(
     g_gap = _sum_by(cache["delta"], g_logits, kappa_tab.shape[0])
 
     ga = grads["attn_a"].reshape(4, -1)
-    ga[0] += g_row @ h_c
+    ga[0] += g_row @ params.entity_emb[ids]
     ga[1] += g_nbr @ params.entity_emb
     ga[2] += g_rel @ params.relation_emb
     ga[3] += g_gap @ kappa_tab

@@ -25,7 +25,7 @@ from .tkg import (
     inject_alignment_noise,
     split_by_time,
 )
-from .trainer import TrainConfig, pretrain_teacher, train_mpkd
+from .trainer import TEACHER_FIELDS, TrainConfig, pretrain_teacher, train_mpkd
 
 # Desk-scale operating point used by the harnesses: same data shape as the
 # benchmark protocol, smaller model and schedule so full sweeps stay fast.
@@ -58,17 +58,18 @@ class ExperimentConfig:
 
 
 class TeacherBank:
-    """Memo of pretrained teachers keyed by seed: ablation variants of the
-    same run share the teacher, which Algorithm-wise never changes."""
+    """Memo of pretrained teachers keyed by the source graph and every config
+    field the teacher reads, so ablation variants of one run share it. Each
+    entry keeps its graph alive, so the graph's ``id`` is never reused."""
 
     def __init__(self):
         self._memo = {}
 
     def get(self, source_kg, cfg: TrainConfig):
-        key = (id(source_kg), cfg.seed, cfg.epochs, cfg.dim, cfg.learning_rate)
+        key = (id(source_kg), *(getattr(cfg, f) for f in TEACHER_FIELDS))
         if key not in self._memo:
-            self._memo[key] = pretrain_teacher(source_kg, cfg)
-        return self._memo[key]
+            self._memo[key] = (source_kg, pretrain_teacher(source_kg, cfg))
+        return self._memo[key][1]
 
 
 def run_transfer(

@@ -9,6 +9,7 @@ search and one gather.
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -47,6 +48,18 @@ class Vocabulary:
         self._symbols.append(symbol)
         self._index[symbol] = idx
         return idx
+
+    @contextmanager
+    def undo_on_error(self):
+        """Symbols added inside the block are removed again if it raises."""
+        n = len(self._symbols)
+        try:
+            yield self
+        except BaseException:
+            for s in self._symbols[n:]:
+                del self._index[s]
+            del self._symbols[n:]
+            raise
 
     def symbol(self, idx: int) -> str:
         return self._symbols[idx]
@@ -185,7 +198,8 @@ class SplitSpec:
 # ---------------------------------------------------------------------------
 # File formats. Quadruple files are UTF-8, LF, tab-separated
 # subject/relation/object/time; '#' lines are comments. A load appends unseen
-# symbols to the vocabularies it is given, unless they are frozen.
+# symbols to the vocabularies it is given, unless they are frozen; a failed
+# load leaves them as they were.
 # ---------------------------------------------------------------------------
 
 
@@ -240,31 +254,37 @@ def load_quadruples(
     """Parse a quadruple TSV into a TemporalKG.
 
     Without vocabularies, symbols are collected in file order. Without a
-    horizon, it is one past the latest time.
+    horizon, it is one past the latest time. A failed load removes the
+    symbols it added.
     """
     entities = entity_vocab if entity_vocab is not None else Vocabulary()
     relations = relation_vocab if relation_vocab is not None else Vocabulary()
-    quads: list[Quadruple] = []
-    max_t, max_line = -1, 0
-    for lineno, line in numbered_lines(path):
-        if line.startswith("#") or not line.strip():
-            continue
-        s, r, o, t = _parse_fields(line, 4, path, lineno)
-        t = _parse_time(t, path, lineno)
-        if horizon is not None and t >= horizon:
-            raise ValueError(f"{path}:{lineno}: time {t} outside horizon {horizon}")
+    with entities.undo_on_error(), relations.undo_on_error():
+        quads: list[Quadruple] = []
+        max_t, max_line = -1, 0
+        for lineno, line in numbered_lines(path):
+            if line.startswith("#") or not line.strip():
+                continue
+            s, r, o, t = _parse_fields(line, 4, path, lineno)
+            t = _parse_time(t, path, lineno)
+            if horizon is not None and t >= horizon:
+                raise ValueError(
+                    f"{path}:{lineno}: time {t} outside horizon {horizon}"
+                )
+            try:
+                quads.append(
+                    Quadruple(entities.add(s), relations.add(r), entities.add(o), t)
+                )
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
+            if t > max_t:
+                max_t, max_line = t, lineno
+        if horizon is not None:
+            return TemporalKG(entities, relations, quads, horizon)
         try:
-            quads.append(Quadruple(entities.add(s), relations.add(r), entities.add(o), t))
-        except KeyError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
-        if t > max_t:
-            max_t, max_line = t, lineno
-    if horizon is not None:
-        return TemporalKG(entities, relations, quads, horizon)
-    try:
-        return TemporalKG(entities, relations, quads, max_t + 1)
-    except ValueError as exc:  # the latest time overflows the index key
-        raise ValueError(f"{path}:{max_line}: {exc}") from None
+            return TemporalKG(entities, relations, quads, max_t + 1)
+        except ValueError as exc:  # the latest time overflows the index key
+            raise ValueError(f"{path}:{max_line}: {exc}") from None
 
 
 def dump_quadruples(kg: TemporalKG, path) -> None:
@@ -284,28 +304,30 @@ def load_alignments(
     """Parse ``source<TAB>target[<TAB>confidence]`` lines; confidence defaults to 1.
 
     An aligned entity may have no recorded events yet: an unfrozen
-    vocabulary gains it, a frozen one rejects it.
+    vocabulary gains it, a frozen one rejects it. A failed load removes the
+    symbols it added.
     """
-    pairs: list[AlignmentPair] = []
-    for lineno, line in numbered_lines(path):
-        if line.startswith("#") or not line.strip():
-            continue
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) not in (2, 3):
-            raise ValueError(f"{path}:{lineno}: expected 2 or 3 fields")
-        conf = 1.0
-        if len(fields) == 3:
-            conf = _parse_confidence(fields[2], path, lineno)
-        try:
-            pairs.append(
-                AlignmentPair(
-                    source_vocab.add(fields[0]), target_vocab.add(fields[1]),
-                    GROUND_TRUTH, conf,
+    with source_vocab.undo_on_error(), target_vocab.undo_on_error():
+        pairs: list[AlignmentPair] = []
+        for lineno, line in numbered_lines(path):
+            if line.startswith("#") or not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) not in (2, 3):
+                raise ValueError(f"{path}:{lineno}: expected 2 or 3 fields")
+            conf = 1.0
+            if len(fields) == 3:
+                conf = _parse_confidence(fields[2], path, lineno)
+            try:
+                pairs.append(
+                    AlignmentPair(
+                        source_vocab.add(fields[0]), target_vocab.add(fields[1]),
+                        GROUND_TRUTH, conf,
+                    )
                 )
-            )
-        except KeyError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
-    return AlignmentSet(pairs)
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
+        return AlignmentSet(pairs)
 
 
 def dump_alignments(

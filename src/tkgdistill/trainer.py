@@ -201,6 +201,14 @@ class TrainState:
     best_epoch: int = -1
 
 
+# The TrainConfig fields ``pretrain_teacher`` reads: a teacher is a function
+# of these and of the source graph alone.
+TEACHER_FIELDS = (
+    "seed", "dim", "dropout", "epochs", "batch_size", "learning_rate",
+    "neighbors", "reasoning_negatives", "margin_reasoning",
+)
+
+
 def pretrain_teacher(
     source_kg: TemporalKG, cfg: TrainConfig, log_rows: list | None = None
 ) -> NetworkParams:
@@ -671,6 +679,9 @@ def train_mpkd(
             )
             grads = student.zero_grads()
             encode_trajectories_bwd(grad_tgt, traj_cache, student, grads)
+            # the per-step caches would otherwise live on through the pseudo
+            # round and validation
+            del tgt_trajs, traj_cache, grad_tgt
             adam_step(student.trainable(), grads, state.adam_student,
                       cfg.learning_rate)
             student_losses.append(loss)

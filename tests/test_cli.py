@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from tkgdistill import cli
 from tkgdistill.alignment import init_align_params
 from tkgdistill.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from tkgdistill.encoder import init_network_params
-from tkgdistill.tkg import Vocabulary
+from tkgdistill.tkg import TemporalKG, Vocabulary
 
 
 def run_cli(*args):
@@ -120,6 +122,31 @@ class TestTrain:
         assert (out2 / "checkpoint.mpkd").read_bytes() == (
             train_dir / "checkpoint.mpkd"
         ).read_bytes()
+
+
+class TestLoadBilingual:
+    def test_eventless_aligned_entity_is_in_the_built_graph(self, tmp_path, monkeypatch):
+        for name, text in (("source", "s0\tr\ts1\t0\n"), ("target", "t0\tr\tt1\t1\n"),
+                           ("align", "s0\tt0\ns1\tt9\n")):
+            (tmp_path / f"{name}.tsv").write_text(text)
+        built = {}  # id of each graph -> its vocabulary size at construction
+        init = TemporalKG.__init__
+
+        def spy(self, entities, *rest):
+            init(self, entities, *rest)
+            built[id(self)] = len(entities)
+
+        monkeypatch.setattr(TemporalKG, "__init__", spy)
+        args = argparse.Namespace(**{n: tmp_path / f"{n}.tsv"
+                                     for n in ("source", "target", "align")})
+        source, target, alignments = cli._load_bilingual(args, 4)
+        assert target.entities.symbols() == ["t0", "t1", "t9"]
+        assert alignments.pairs[1].target_entity == 2
+        for kg in (source, target):
+            assert built[id(kg)] == len(kg.entities)
+            assert kg.entities.frozen and kg.relations.frozen
+            with pytest.raises(KeyError, match="frozen"):
+                kg.entities.add("later")
 
 
 class TestEval:

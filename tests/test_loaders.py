@@ -108,3 +108,58 @@ class TestFuzz:
         except ValueError as exc:
             # the lines around the fuzzed one are valid, so it is the culprit
             assert str(exc).startswith(f"{fuzz_path}:{len(before) + 1}: "), exc
+
+
+# the symbols the vocabularies start with, and a valid line adding new ones
+START = {"quadruples": ("abc", "r"), "alignments": ("ab", "xy")}
+NEW_SYMBOLS = {"quadruples": "new\tr\tnew2\t1", "alignments": "new\tnew2"}
+
+
+class TestNoPartialSymbols:
+    """A failed load leaves the vocabularies it was given as they were."""
+
+    def test_bad_line_after_a_new_symbol(self, tmp_path):
+        path = tmp_path / "partial.tsv"
+        path.write_text("a\tr\tb\t0\na\tr\tb\n")
+        entities, relations = Vocabulary(["a"]), Vocabulary()
+        with pytest.raises(ValueError, match=r"partial\.tsv:2: expected 4"):
+            load_quadruples(path, entities, relations)
+        assert entities.symbols() == ["a"] and relations.symbols() == []
+
+    def test_bad_alignment_line_after_a_new_symbol(self, tmp_path):
+        path = tmp_path / "partial.tsv"
+        path.write_text("a\tnew\nb\tx\tnot-a-number\n")
+        src, tgt = Vocabulary(["a", "b"]), Vocabulary(["x"])
+        with pytest.raises(ValueError, match=r"partial\.tsv:2: bad confidence"):
+            load_alignments(path, src, tgt)
+        assert tgt.symbols() == ["x"]
+
+    def test_key_overflow_adds_nothing(self, tmp_path):
+        path = tmp_path / "far.tsv"
+        path.write_text(f"a\tr\tnew\t0\nb\tr\tc\t{2**62}\n")
+        entities, relations = Vocabulary(["a"]), Vocabulary()
+        with pytest.raises(ValueError, match=r"far\.tsv:2: .*overflow the int64"):
+            load_quadruples(path, entities, relations)
+        assert entities.symbols() == ["a"] and relations.symbols() == []
+
+    def test_frozen_rejects_at_first_use_before_a_later_bad_line(self, tmp_path):
+        path = tmp_path / "frozen.tsv"
+        path.write_text("a\tr\tb\t0\nzz\tr\ta\t1\nb\tr\tzz\t2\nbad\n")
+        with pytest.raises(ValueError, match=r"frozen\.tsv:2: unknown symbol 'zz'"):
+            load_quadruples(path, Vocabulary("ab", frozen=True),
+                            Vocabulary("r", frozen=True))
+
+    @pytest.mark.parametrize("kind", ["quadruples", "alignments"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_failure_adds_nothing(self, fuzz_path, kind, data):
+        good = st.lists(st.sampled_from(VALID[kind] + [NEW_SYMBOLS[kind]]), max_size=4)
+        before, after = data.draw(good), data.draw(good)
+        body = [s.encode() for s in before] + [data.draw(fuzz_line(kind))]
+        fuzz_path.write_bytes(b"\n".join(body + [s.encode() for s in after]) + b"\n")
+        first, second = (Vocabulary(v) for v in START[kind])
+        loader = load_quadruples if kind == "quadruples" else load_alignments
+        try:
+            loader(fuzz_path, first, second)
+        except ValueError:
+            assert (first.symbols(), second.symbols()) == tuple(map(list, START[kind]))

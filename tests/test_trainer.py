@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from tkgdistill import experiments
 from tkgdistill import trainer as trainer_module
 from tkgdistill.distill import transfer_events
 from tkgdistill.encoder import encode_trajectories_fwd, init_network_params
@@ -179,6 +180,49 @@ class TestPretrainTeacher:
         empty = pair.source.with_quadruples([])
         with pytest.raises(ValueError):
             pretrain_teacher(empty, tiny_cfg())
+
+
+class TestTeacherBank:
+    def test_fields_are_those_pretraining_reads(self):
+        read = set()
+
+        class Recorder:
+            def __getattr__(self, name):
+                read.add(name)
+                return getattr(tiny_cfg(epochs=1), name)
+
+        pretrain_teacher(tiny_pair().source, Recorder())
+        assert read == set(trainer_module.TEACHER_FIELDS)
+
+    def _bank_with_counter(self, monkeypatch):
+        calls = []
+
+        def counted(kg, cfg):
+            calls.append(cfg)
+            return pretrain_teacher(kg, cfg)
+
+        monkeypatch.setattr(experiments, "pretrain_teacher", counted)
+        return experiments.TeacherBank(), calls
+
+    def test_fields_pretraining_reads_select_the_teacher(self, monkeypatch):
+        bank, calls = self._bank_with_counter(monkeypatch)
+        source = tiny_pair().source
+        a = bank.get(source, tiny_cfg(epochs=1, neighbors=3))
+        b = bank.get(source, tiny_cfg(epochs=1, neighbors=2))
+        assert len(calls) == 2 and a is not b
+        assert not np.array_equal(a.entity_emb, b.entity_emb)
+
+    def test_variants_share_one_teacher(self, monkeypatch):
+        bank, calls = self._bank_with_counter(monkeypatch)
+        source = tiny_pair().source
+        base = tiny_cfg(epochs=1)
+        teachers = [
+            bank.get(source, cfg)
+            for cfg in (base, replace(base, uniform_strength=True),
+                        replace(base, pure_training=True))
+        ]
+        assert len(calls) == 1
+        assert all(t is teachers[0] for t in teachers)
 
 
 class TestInitStudent:
