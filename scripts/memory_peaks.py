@@ -1,0 +1,114 @@
+"""Print the traced memory peak of each phase of a training run.
+
+For each seed this runs one ``experiments.run_transfer`` on each config of
+``scripts/output_digest.py`` (desk, paper_dims, scale5x) under
+``tracemalloc`` and prints, in MB, the largest peak of each phase over its
+calls: teacher pretraining, ``_alignment_terms`` (alignment fit and
+distillation channel), ``_reasoning_terms`` (student batches), the all-target
+trajectory encodes (forward and backward), the pseudo round, event transfer
+and validation, then the peak of the whole run. A phase's peak is the
+largest traced size while it runs, memory held by its caller included, so
+the phase holding the run's peak reads the run's peak. A phase that never
+ran reads ``-``. The last line is the process's ``ru_maxrss``: the largest
+resident set of all runs together, inflated by tracemalloc's own records.
+
+    python3 scripts/memory_peaks.py --seeds 0 1
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from output_digest import CONFIGS  # noqa: E402  (pins BLAS before numpy)
+
+import argparse  # noqa: E402
+import resource  # noqa: E402
+import tracemalloc  # noqa: E402
+from dataclasses import replace  # noqa: E402
+
+from tkgdistill import experiments, trainer  # noqa: E402
+from tkgdistill.tkg import generate_synthetic_pair  # noqa: E402
+
+MB = 1e6
+
+# (label, module, attribute): the module namespace the call is looked up in
+PHASES = (
+    ("teacher", experiments, "pretrain_teacher"),
+    ("_alignment_terms", trainer, "_alignment_terms"),
+    ("_reasoning_terms", trainer, "_reasoning_terms"),
+    ("trajectory_encode_fwd", trainer, "encode_trajectories_fwd"),
+    ("trajectory_encode_bwd", trainer, "encode_trajectories_bwd"),
+    ("pseudo_round", trainer, "_generate_pseudo_round"),
+    ("transfer", trainer, "transfer_events"),
+    ("validation", trainer, "evaluate"),
+)
+
+
+class PeakTracker:
+    """Per-label traced peaks of nested calls.
+
+    ``tracemalloc`` keeps one peak, so each call resets it on entry and on
+    exit; the peak an enclosing call would have seen is carried on a stack.
+    """
+
+    def __init__(self):
+        self.peaks: dict[str, int] = {}
+        self._stack = [0]
+
+    def wrap(self, label, fn):
+        def traced(*args, **kwargs):
+            self._stack[-1] = max(self._stack[-1], tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            self._stack.append(0)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                peak = max(self._stack.pop(), tracemalloc.get_traced_memory()[1])
+                self.peaks[label] = max(self.peaks.get(label, 0), peak)
+                self._stack[-1] = max(self._stack[-1], peak)
+                tracemalloc.reset_peak()
+
+        return traced
+
+    def total(self) -> int:
+        return max(self._stack[0], tracemalloc.get_traced_memory()[1])
+
+
+def traced_run(gen, cfg, seed: int) -> tuple[dict[str, int], int]:
+    """Phase peaks and whole-run peak (bytes) of one ``run_transfer``."""
+    pair = generate_synthetic_pair(gen, seed)
+    tracker = PeakTracker()
+    originals = [(module, name, getattr(module, name)) for _, module, name in PHASES]
+    for label, module, name in PHASES:
+        setattr(module, name, tracker.wrap(label, getattr(module, name)))
+    tracemalloc.start()
+    try:
+        experiments.run_transfer(pair, replace(cfg, seed=seed), experiments.TeacherBank())
+        return tracker.peaks, tracker.total()
+    finally:
+        tracemalloc.stop()
+        for module, name, fn in originals:
+            setattr(module, name, fn)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0])
+    args = parser.parse_args()
+    for config, (gen, cfg) in CONFIGS.items():
+        for seed in args.seeds:
+            peaks, total = traced_run(gen, cfg, seed)
+            cells = ", ".join(
+                f"{label} {peaks[label] / MB:.1f}" if label in peaks else f"{label} -"
+                for label, _, _ in PHASES
+            )
+            print(f"{config} seed {seed} peak MB: {cells}, run {total / MB:.1f}",
+                  flush=True)
+    maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(f"ru_maxrss {maxrss_kb * 1024 / MB:.1f} MB")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

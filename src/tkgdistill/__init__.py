@@ -6,14 +6,7 @@ pseudo-alignment generation and temporal event transfer paced over training.
 
 __version__ = "0.1.0"
 
-from .alignment import (
-    AlignParams,
-    alignment_loss,
-    alignment_strength,
-    correspondence,
-    init_align_params,
-    temporal_integrate,
-)
+from .alignment import AlignParams, init_align_params
 from .encoder import (
     NetworkParams,
     encode_entity,

@@ -71,58 +71,50 @@ def temporal_integrate_batch_fwd(
 ) -> tuple[np.ndarray, dict]:
     """Causally-masked self attention over (n, T, d) trajectories.
 
-    Row t of each output depends only on trajectory rows 1..t.
+    Row t of each output depends only on trajectory rows 1..t. The cache
+    holds the caller's ``trajs`` and the attention weights only; the
+    backward projects q, k and v again.
     """
     if trajs.ndim != 3 or trajs.shape[1] == 0:
         raise ValueError("empty trajectory")
     n, t_len, d = trajs.shape
     q = trajs @ ap.temporal_WQ
     k = trajs @ ap.temporal_WK
-    v = trajs @ ap.temporal_WV
     scores = (q @ k.transpose(0, 2, 1)) / np.sqrt(d)
+    del q, k
     mask = np.broadcast_to(_causal_mask(t_len), scores.shape)
     beta = softmax_masked_rows(scores, mask)
-    out = beta @ v
-    cache = {"trajs": trajs, "q": q, "k": k, "v": v, "beta": beta}
-    return out, cache
+    del scores
+    out = beta @ (trajs @ ap.temporal_WV)
+    return out, {"trajs": trajs, "beta": beta}
 
 
 def temporal_integrate_batch_bwd(
     grad_out: np.ndarray, cache: dict, ap: AlignParams, grads: ParamDict
 ) -> np.ndarray:
-    """Accumulate attention-parameter grads; return d loss / d trajectories."""
-    trajs, q, k, v, beta = (
-        cache["trajs"], cache["q"], cache["k"], cache["v"], cache["beta"],
-    )
+    """Accumulate attention-parameter grads; return d loss / d trajectories.
+
+    v, k and q are recomputed from ``trajs`` one at a time: the parameters
+    do not change between a forward and its backward.
+    """
+    trajs, beta = cache["trajs"], cache["beta"]
     d = trajs.shape[-1]
-    g_beta = grad_out @ v.transpose(0, 2, 1)
-    g_v = beta.transpose(0, 2, 1) @ grad_out
+    g_beta = grad_out @ (trajs @ ap.temporal_WV).transpose(0, 2, 1)
     g_scores = softmax_rows_backward(beta, g_beta) / np.sqrt(d)
-    g_q = g_scores @ k
-    g_k = g_scores.transpose(0, 2, 1) @ q
+    del g_beta
+    g_q = g_scores @ (trajs @ ap.temporal_WK)
+    g_k = g_scores.transpose(0, 2, 1) @ (trajs @ ap.temporal_WQ)
+    del g_scores
     grads["temporal_WQ"] += np.tensordot(trajs, g_q, axes=([0, 1], [0, 1]))
+    grad_trajs = g_q @ ap.temporal_WQ.T
+    del g_q
     grads["temporal_WK"] += np.tensordot(trajs, g_k, axes=([0, 1], [0, 1]))
+    grad_trajs += g_k @ ap.temporal_WK.T
+    del g_k
+    g_v = beta.transpose(0, 2, 1) @ grad_out
     grads["temporal_WV"] += np.tensordot(trajs, g_v, axes=([0, 1], [0, 1]))
-    return (
-        g_q @ ap.temporal_WQ.T + g_k @ ap.temporal_WK.T + g_v @ ap.temporal_WV.T
-    )
-
-
-def temporal_integrate(ap: AlignParams, traj: np.ndarray) -> np.ndarray:
-    """Integrate one (T, d) trajectory; row t summarizes history up to t."""
-    out, _ = temporal_integrate_batch_fwd(ap, traj[None])
-    return out[0]
-
-
-def correspondence(h_source: np.ndarray, h_target: np.ndarray, t: int) -> float:
-    """Cosine of the two integrations at time step ``t`` (1-based)."""
-    if not 1 <= t <= min(h_source.shape[0], h_target.shape[0]):
-        raise ValueError(f"time step {t} outside both integrations")
-    u, v = h_source[t - 1], h_target[t - 1]
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("undefined cosine: zero vector")
-    return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
+    grad_trajs += g_v @ ap.temporal_WV.T
+    return grad_trajs
 
 
 def strength_diagonal(
@@ -142,16 +134,6 @@ def strength_diagonal(
     mask = np.broadcast_to(_causal_mask(t_len), scores.shape)
     weights = softmax_masked_rows(scores, mask)
     return np.diagonal(weights, axis1=-2, axis2=-1)
-
-
-def alignment_strength(
-    ap: AlignParams, h_source: np.ndarray, h_target: np.ndarray, t: int
-) -> float:
-    """Strength for one pair at 1-based time ``t``; lies in (0, 1]."""
-    t_len = h_source.shape[0]
-    if not 1 <= t <= t_len:
-        raise ValueError(f"time step {t} outside integration of length {t_len}")
-    return float(strength_diagonal(ap, h_source, h_target)[t - 1])
 
 
 def sample_alignment_negatives(
@@ -203,11 +185,11 @@ def alignment_loss_fwd(
     ``strength_override`` freezes the weights explicitly (used by the
     finite-difference checks and by the uniform-strength ablation via ones).
 
-    Both sides are normalised to unit rows once, and one batched matmul
-    scores every source row against every target row per step: the cosines
-    are gathered from that (T, P, n_targets) block, so memory is
-    O(T * P * n_targets) and no (P, N, T, d) block is built. A zero row
-    scores 0.
+    Both sides are normalised to unit rows once. Each time step then scores
+    every source row against every target row in one (P, n_targets) matmul,
+    and only the cosines of each pair's target and negatives are kept, so
+    memory is O(P * n_targets + P * N * T) and neither a (T, P, n_targets)
+    nor a (P, N, T, d) block is built. A zero row scores 0.
     """
     if margin <= 0:
         raise ValueError("margin must be positive")
@@ -225,11 +207,17 @@ def alignment_loss_fwd(
 
     u_src, n_src = unit_rows(h_src)  # (P, T, d)
     u_tgt, n_tgt = unit_rows(h_tgt)  # (n_targets, T, d)
-    sim = u_src.transpose(1, 0, 2) @ u_tgt.transpose(1, 2, 0)  # (T, P, n_targets)
-    sim = np.clip(sim, -1.0, 1.0)
+    t_len = u_src.shape[1]
     rows = np.arange(p)
-    g_pos = sim[:, rows, pair_targets].T  # (P, T)
-    g_neg = sim[:, rows[:, None], safe_negs].transpose(1, 2, 0)  # (P, N, T)
+    g_pos = np.empty((p, t_len))
+    g_neg = np.empty((p, safe_negs.shape[1], t_len))
+    for t in range(t_len):
+        sim = u_src[:, t] @ u_tgt[:, t].T  # (P, n_targets)
+        g_pos[:, t] = sim[rows, pair_targets]
+        g_neg[:, :, t] = sim[rows[:, None], safe_negs]
+    del sim
+    np.clip(g_pos, -1.0, 1.0, out=g_pos)
+    np.clip(g_neg, -1.0, 1.0, out=g_neg)
 
     if strength_override is not None:
         beta = strength_override
@@ -256,54 +244,39 @@ def alignment_loss_bwd(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Return (grad wrt source trajectories, grad wrt target trajectories).
 
-    Hinge gradients are summed into the (T, P, n_targets) similarity block
-    (duplicate negatives add up), then carried to both sides' unit rows.
+    Per time step, one weighted ``bincount`` sums the hinge gradients into a
+    (P, n_targets) cosine-gradient block (duplicate negatives add up), which
+    two matmuls carry to both sides' unit rows.
     """
     u_src, u_tgt = cache["u_src"], cache["u_tgt"]
     beta, hinge = cache["beta"], cache["hinge"]
     p, _, t_len = hinge.shape
     n_targets = u_tgt.shape[0]
+    rows, pair_targets = np.arange(p), cache["pair_targets"]
 
     # hinge is already zero at the -1 (invalid) negatives
     g_hinge = beta[:, None, :] * (hinge > 0.0) * cache["weight"]  # (P, N, T)
-    rows = np.arange(p)
-    # flat (t, p, target) cells of the (T, P, n_targets) block
-    cells = (np.arange(t_len)[:, None, None] * p + rows[:, None]) * n_targets
-    g_sim = np.bincount(
-        (cells + cache["safe_negs"]).ravel(),
-        weights=g_hinge.transpose(2, 0, 1).ravel(),
-        minlength=t_len * p * n_targets,
-    ).reshape(t_len, p, n_targets)
-    g_sim[:, rows, cache["pair_targets"]] -= g_hinge.sum(axis=1).T
+    g_pos = g_hinge.sum(axis=1).T  # (T, P)
+    cells = (rows[:, None] * n_targets + cache["safe_negs"]).ravel()
+    g_u_src, g_u_tgt = np.empty_like(u_src), np.empty_like(u_tgt)
+    for t in range(t_len):
+        g_sim = np.bincount(
+            cells, weights=g_hinge[:, :, t].ravel(), minlength=p * n_targets
+        ).reshape(p, n_targets)
+        g_sim[rows, pair_targets] -= g_pos[t]
+        np.matmul(g_sim, u_tgt[:, t], out=g_u_src[:, t])
+        np.matmul(g_sim.T, u_src[:, t], out=g_u_tgt[:, t])
+    del g_sim, g_hinge
 
-    g_u_src = (g_sim @ u_tgt.transpose(1, 0, 2)).transpose(1, 0, 2)
-    g_u_tgt = (g_sim.transpose(0, 2, 1) @ u_src.transpose(1, 0, 2)).transpose(1, 0, 2)
     grad_h_src = unit_rows_backward(g_u_src, u_src, cache["n_src"])
-    grad_h_tgt = unit_rows_backward(g_u_tgt, u_tgt, cache["n_tgt"])
-
+    del g_u_src
     grad_src_trajs = temporal_integrate_batch_bwd(
         grad_h_src, cache["cache_src"], ap, grads
     )
+    del grad_h_src
+    grad_h_tgt = unit_rows_backward(g_u_tgt, u_tgt, cache["n_tgt"])
+    del g_u_tgt
     grad_tgt_trajs = temporal_integrate_batch_bwd(
         grad_h_tgt, cache["cache_tgt"], ap, grads
     )
     return grad_src_trajs, grad_tgt_trajs
-
-
-def alignment_loss(
-    ap: AlignParams,
-    source_trajs: np.ndarray,
-    target_trajs: np.ndarray,
-    pair_targets: np.ndarray,
-    exclusions: list[set[int]],
-    neg_factor: int,
-    margin: float,
-    rng: np.random.Generator,
-    uniform_strength: bool = False,
-    strength_override: np.ndarray | None = None,
-) -> float:
-    loss, _ = alignment_loss_fwd(
-        ap, source_trajs, target_trajs, pair_targets, exclusions,
-        neg_factor, margin, rng, uniform_strength, strength_override,
-    )
-    return loss

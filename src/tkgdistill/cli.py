@@ -287,10 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--history", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--neighbors", type=int, default=8)
+    p.add_argument("--neighbors", type=_at_least_one, default=8)
     p.add_argument("--per-step", action="store_true")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_at_least_one, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

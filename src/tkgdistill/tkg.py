@@ -143,6 +143,8 @@ class TemporalKG:
         its time, oldest first, then padding (zeros, mask False). ``t`` is
         one time for every row or one time per row of ``ids``.
         """
+        if b < 1:
+            raise ValueError(f"neighbour count b must be at least 1, got {b}")
         ids = np.asarray(ids, dtype=np.int64)
         # no entry lies before a time below 0; every entry lies before horizon
         t = np.clip(np.asarray(t, dtype=np.int64), 0, self.horizon)

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tkgdistill.alignment import (
+from alignment_reference import (
     alignment_loss,
-    alignment_loss_bwd,
-    alignment_loss_fwd,
     alignment_strength,
     correspondence,
+    temporal_integrate,
+)
+from tkgdistill.alignment import (
+    alignment_loss_bwd,
+    alignment_loss_fwd,
     init_align_params,
     strength_diagonal,
-    temporal_integrate,
     temporal_integrate_batch_fwd,
 )
 from tkgdistill.numerics import grad_check, softmax_masked

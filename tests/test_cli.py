@@ -165,6 +165,32 @@ class TestEval:
         }
         assert (out / "per_step.csv").read_text().startswith("time,mrr,hits10")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--neighbors", "0"), ("--neighbors", "-1"), ("--threads", "0"),
+        ("--threads", "-2"),
+    ])
+    def test_counts_below_one_rejected(self, tmp_path, synth_dir, train_dir,
+                                       flag, value):
+        out = tmp_path / "eval"
+        res = run_cli(
+            "eval", "--checkpoint", train_dir / "checkpoint.mpkd",
+            "--history", synth_dir / "target.tsv",
+            "--test", synth_dir / "target.tsv", flag, value, "--out", out,
+        )
+        assert res.returncode == 2
+        assert f"argument {flag}: must be at least 1, got {value}" in res.stderr
+        assert not out.exists()
+
+    def test_one_neighbor(self, tmp_path, synth_dir, train_dir):
+        out = tmp_path / "eval"
+        res = run_cli(
+            "eval", "--checkpoint", train_dir / "checkpoint.mpkd",
+            "--history", synth_dir / "target.tsv",
+            "--test", synth_dir / "target.tsv", "--neighbors", "1", "--out", out,
+        )
+        assert res.returncode == 0, res.stderr
+        assert json.loads((out / "metrics.json").read_text())["query_count"] > 0
+
     def test_unknown_symbol_rejected_by_frozen_vocabulary(
         self, tmp_path, synth_dir, train_dir
     ):

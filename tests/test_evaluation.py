@@ -127,6 +127,11 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(toy_params, toy_kg, [], b=4)
 
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_neighbour_count_below_one_raises(self, toy_params, toy_kg, b):
+        with pytest.raises(ValueError, match=f"b must be at least 1, got {b}"):
+            evaluate(toy_params, toy_kg, list(toy_kg.quadruples[:4]), b=b)
+
     def test_threads_do_not_change_results(self, toy_params, toy_kg):
         test_quads = list(toy_kg.quadruples[:8])
         a = evaluate(toy_params, toy_kg, test_quads, b=4, threads=1)

@@ -1,8 +1,11 @@
-"""Memory held by the encoder's caches and by one training run.
+"""Memory held by the encoder's and the alignment step's caches and by
+whole training runs.
 
 The encoder's backward gathers embedding rows again instead of keeping the
 forward's copies, so a cache holds index arrays, attention weights, the
-aggregate and a ReLU mask: nothing with b * d values per row.
+aggregate and a ReLU mask: nothing with b * d values per row. The alignment
+loss scores one time step at a time, so no (T, P, n_targets) block is built,
+and temporal integration caches only its input and attention weights.
 """
 
 import tracemalloc
@@ -11,6 +14,12 @@ from dataclasses import replace
 import numpy as np
 
 from tkgdistill import experiments
+from tkgdistill.alignment import (
+    alignment_loss_bwd,
+    alignment_loss_fwd,
+    init_align_params,
+    temporal_integrate_batch_fwd,
+)
 from tkgdistill.encoder import encode_trajectories_fwd, init_network_params
 from tkgdistill.tkg import GeneratorConfig, generate_synthetic_pair
 from tkgdistill.trainer import TrainConfig
@@ -20,6 +29,15 @@ MB = 2**20
 
 def _arrays(cache: dict):
     return [v for v in cache.values() if isinstance(v, np.ndarray)]
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_trajectory_cache_holds_no_gathered_rows():
@@ -40,13 +58,57 @@ def test_trajectory_cache_holds_no_gathered_rows():
 
 def test_paper_dims_run_peak_is_bounded():
     """The traced peak of one paper_dims ``run_transfer`` (1 epoch); it sits
-    in the alignment loss's backward, not in kept encoder caches."""
+    in teacher pretraining, not in kept encoder or alignment caches."""
     pair = generate_synthetic_pair(GeneratorConfig(coverage=0.3), 0)
     cfg = replace(TrainConfig(epochs=1, warmup_epochs_before_generation=0), seed=0)
-    tracemalloc.start()
-    try:
-        experiments.run_transfer(pair, cfg, experiments.TeacherBank())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(
+        lambda: experiments.run_transfer(pair, cfg, experiments.TeacherBank())
+    )
     assert peak < 150 * MB, peak / MB
+
+
+def test_alignment_step_peak_at_scale5x_shape():
+    # P=100 pairs, 1,000 targets, T=28, d=32, N=32: the (T, P, n_targets)
+    # similarity block alone would take 22.4 MB, and its gradient as much
+    p, n_targets, t_len, d = 100, 1000, 28, 32
+    rng = np.random.default_rng(0)
+    ap = init_align_params(d, seed=1)
+    src = rng.normal(size=(p, t_len, d))
+    tgt = rng.normal(size=(n_targets, t_len, d))
+    pair_targets = rng.integers(0, n_targets, size=p)
+    excl = [{int(i)} for i in pair_targets]
+
+    def step():
+        _, cache = alignment_loss_fwd(
+            ap, src, tgt, pair_targets, excl, 32, 0.5, np.random.default_rng(2)
+        )
+        alignment_loss_bwd(cache, ap, ap.zero_grads())
+
+    peak = _traced_peak(step)
+    assert peak < 80 * MB, peak / MB
+
+
+def test_integration_cache_holds_no_projections():
+    n, t_len, d = 50, 28, 32
+    trajs = np.random.default_rng(0).normal(size=(n, t_len, d))
+    _, cache = temporal_integrate_batch_fwd(init_align_params(d, seed=1), trajs)
+    assert cache["trajs"] is trajs
+    for arr in _arrays(cache):
+        assert arr is trajs or arr.size < n * t_len * d, arr.shape
+
+
+def test_scale5x_run_peak_is_bounded():
+    """The traced peak of one scale5x-config ``run_transfer`` (1 epoch); the
+    alignment step held it while it built (T, P, n_targets) blocks."""
+    gen = replace(
+        experiments.DESK_GENERATOR, source_entities=1000, target_entities=1000,
+        events_per_step=125, target_background_per_step=20,
+    )
+    cfg = replace(
+        experiments.DESK_TRAIN, epochs=1, warmup_epochs_before_generation=0, seed=0
+    )
+    pair = generate_synthetic_pair(gen, 0)
+    peak = _traced_peak(
+        lambda: experiments.run_transfer(pair, cfg, experiments.TeacherBank())
+    )
+    assert peak < 130 * MB, peak / MB
