@@ -18,9 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .numerics import ParamDict, add_rows_at, softmax_masked_rows, softmax_rows_backward
+from .numerics import ParamDict, softmax_masked_rows, softmax_rows_backward
 from .tkg import TemporalKG
+
+# rows per neighbour gather in the backward: at b = 8, d = 128 a chunk of
+# gathered rows is 8.4 MB, however many rows a batch has
+_ROW_CHUNK = 1024
 
 
 @dataclass
@@ -200,7 +205,11 @@ def encode_batch_bwd(
     g_hc = np.where(has_nb[:, None], 0.0, g_agg)  # fallback path
     g_agg = np.where(has_nb[:, None], g_agg, 0.0)
 
-    g_alpha = (params.entity_emb[nbr] @ g_agg[:, :, None])[..., 0]
+    # the (rows, b, d) neighbour rows are gathered a chunk of rows at a time
+    g_alpha = np.empty(nbr.shape)
+    for lo in range(0, len(ids), _ROW_CHUNK):
+        part = slice(lo, lo + _ROW_CHUNK)
+        g_alpha[part] = (params.entity_emb[nbr[part]] @ g_agg[part, :, None])[..., 0]
     # zero on padded slots, where alpha is zero
     g_logits = softmax_rows_backward(alpha, g_alpha)
 
@@ -222,13 +231,26 @@ def encode_batch_bwd(
     grads["entity_emb"] += g_nbr[:, None] * a2
     grads["relation_emb"] += g_rel[:, None] * a3
 
-    # messages: each live neighbor slot passes alpha * g_agg to its entity
+    # messages: each centre row takes g_hc and each live neighbor slot
+    # alpha * g_agg of its row, summed per entity by one sparse product. An
+    # entity's entries keep the order [centres by row, live slots by row and
+    # slot], so its sum adds the same products in the same order as a
+    # scatter of those rows would, and no (slots, d) block is built.
     rows, slots = np.nonzero(mask)
-    add_rows_at(
-        grads["entity_emb"],
-        np.concatenate([ids, nbr[rows, slots]]),
-        np.concatenate([g_hc, alpha[rows, slots, None] * g_agg[rows]]),
+    n = len(ids)
+    ent = np.concatenate([ids, nbr[rows, slots]])
+    order = np.argsort(ent, kind="stable")
+    indptr = np.zeros(params.n_entities + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ent, minlength=params.n_entities), out=indptr[1:])
+    messages = sparse.csr_array(
+        (
+            np.concatenate([np.ones(n), alpha[rows, slots]])[order],
+            np.concatenate([np.arange(n), n + rows])[order],
+            indptr,
+        ),
+        shape=(params.n_entities, 2 * n),
     )
+    grads["entity_emb"] += messages @ np.concatenate([g_hc, g_agg])
 
 
 def encode_entity(
