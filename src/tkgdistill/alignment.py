@@ -11,7 +11,6 @@ import numpy as np
 
 from .numerics import (
     ParamDict,
-    softmax_masked_rows,
     softmax_rows_backward,
     unit_rows,
     unit_rows_backward,
@@ -61,9 +60,16 @@ def init_align_params(dim: int, seed: int) -> AlignParams:
     return AlignParams(*mats, eye.copy(), eye.copy())
 
 
-def _causal_mask(t_len: int) -> np.ndarray:
-    # allowed where key index <= query index
-    return np.tril(np.ones((t_len, t_len), dtype=bool))
+def _causal_softmax(scores: np.ndarray) -> np.ndarray:
+    """Row softmax of (..., T, T) scores over key index <= query index, in
+    place. Each row's diagonal is live, so no row is empty and its max is
+    finite: an additive -inf mask needs no masking pass after the exp."""
+    t_len = scores.shape[-1]
+    scores += np.triu(np.full((t_len, t_len), -np.inf), 1)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def temporal_integrate_batch_fwd(
@@ -77,14 +83,13 @@ def temporal_integrate_batch_fwd(
     """
     if trajs.ndim != 3 or trajs.shape[1] == 0:
         raise ValueError("empty trajectory")
-    n, t_len, d = trajs.shape
+    d = trajs.shape[-1]
     q = trajs @ ap.temporal_WQ
     k = trajs @ ap.temporal_WK
-    scores = (q @ k.transpose(0, 2, 1)) / np.sqrt(d)
+    scores = q @ k.transpose(0, 2, 1)
     del q, k
-    mask = np.broadcast_to(_causal_mask(t_len), scores.shape)
-    beta = softmax_masked_rows(scores, mask)
-    del scores
+    scores /= np.sqrt(d)
+    beta = _causal_softmax(scores)
     out = beta @ (trajs @ ap.temporal_WV)
     return out, {"trajs": trajs, "beta": beta}
 
@@ -129,11 +134,9 @@ def strength_diagonal(
     d = h_source.shape[-1]
     q = h_source @ ap.cross_WQ
     k = h_target @ ap.cross_WK
-    scores = (q @ np.swapaxes(k, -1, -2)) / np.sqrt(d)
-    t_len = scores.shape[-1]
-    mask = np.broadcast_to(_causal_mask(t_len), scores.shape)
-    weights = softmax_masked_rows(scores, mask)
-    return np.diagonal(weights, axis1=-2, axis2=-1)
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores /= np.sqrt(d)
+    return np.diagonal(_causal_softmax(scores), axis1=-2, axis2=-1)
 
 
 def sample_alignment_negatives(

@@ -36,16 +36,17 @@ def softmax_masked_rows(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-wise masked softmax for arrays of shape (..., k).
 
     Rows with empty support come back all-zero; callers that need a
-    distribution on every row must handle such rows themselves.
+    distribution on every row must handle such rows themselves. Every step
+    after the first works in place in the one output array.
     """
-    mask = np.asarray(mask, dtype=bool)
-    neg = np.where(mask, logits, -np.inf)
-    mx = neg.max(axis=-1, keepdims=True)
+    out = np.where(np.asarray(mask, dtype=bool), logits, -np.inf)
+    mx = out.max(axis=-1, keepdims=True)
     # rows with no live entries have mx == -inf; keep them quiet
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    exps = np.where(mask, np.exp(neg - mx), 0.0)
-    denom = exps.sum(axis=-1, keepdims=True)
-    return np.divide(exps, denom, out=np.zeros_like(exps), where=denom > 0)
+    mx[~np.isfinite(mx)] = 0.0
+    out -= mx
+    np.exp(out, out=out)  # exp(-inf) = 0 at masked entries
+    denom = out.sum(axis=-1, keepdims=True)
+    return np.divide(out, denom, out=out, where=denom > 0)
 
 
 def softmax_rows_backward(alpha: np.ndarray, grad_alpha: np.ndarray) -> np.ndarray:
