@@ -169,7 +169,7 @@ def sample_alignment_negatives(
 def alignment_loss_fwd(
     ap: AlignParams,
     source_trajs: np.ndarray,
-    target_trajs: np.ndarray,
+    h_tgt: np.ndarray,
     pair_targets: np.ndarray,
     exclusions: list[set[int]],
     neg_factor: int,
@@ -180,10 +180,11 @@ def alignment_loss_fwd(
 ) -> tuple[float, dict]:
     """Strength-weighted margin loss over alignment pairs.
 
-    ``source_trajs`` is (P, T, d), one trajectory per pair (teacher side);
-    ``target_trajs`` is (n_targets, T, d) covering the whole target
-    vocabulary so sampled negatives can index it. The strength weight is a
-    constant in the gradient (detached): it scales the hinge but is not
+    ``source_trajs`` is (P, T, d), one trajectory per pair (teacher side),
+    integrated here; ``h_tgt`` is the caller's (n_targets, T, d) integration
+    of the whole target vocabulary, so sampled negatives can index it and
+    one integration serves every pair set of a step. The strength weight is
+    a constant in the gradient (detached): it scales the hinge but is not
     itself optimized, which blocks the degenerate all-zero-strength solution.
     ``strength_override`` freezes the weights explicitly (used by the
     finite-difference checks and by the uniform-strength ablation via ones).
@@ -200,11 +201,8 @@ def alignment_loss_fwd(
     if p == 0:
         raise ValueError("empty alignment pair set")
     h_src, cache_src = temporal_integrate_batch_fwd(ap, source_trajs)
-    h_tgt, cache_tgt = temporal_integrate_batch_fwd(ap, target_trajs)
 
-    negs = sample_alignment_negatives(
-        target_trajs.shape[0], exclusions, neg_factor, rng
-    )
+    negs = sample_alignment_negatives(h_tgt.shape[0], exclusions, neg_factor, rng)
     valid = negs >= 0
     safe_negs = np.where(valid, negs, 0)
 
@@ -234,7 +232,7 @@ def alignment_loss_fwd(
     weight = 1.0 / hinge.size
     loss = float((beta[:, None, :] * hinge).sum() * weight)
     cache = {
-        "cache_src": cache_src, "cache_tgt": cache_tgt,
+        "cache_src": cache_src,
         "u_src": u_src, "n_src": n_src, "u_tgt": u_tgt, "n_tgt": n_tgt,
         "beta": beta, "hinge": hinge, "valid": valid, "safe_negs": safe_negs,
         "pair_targets": pair_targets, "weight": weight,
@@ -243,13 +241,18 @@ def alignment_loss_fwd(
 
 
 def alignment_loss_bwd(
-    cache: dict, ap: AlignParams, grads: ParamDict
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return (grad wrt source trajectories, grad wrt target trajectories).
+    cache: dict, ap: AlignParams, grads: ParamDict, scale: float = 1.0
+) -> np.ndarray:
+    """Return d (scale * loss) / d target unit rows ``cache["u_tgt"]``, and
+    accumulate the source side's share of the parameter gradients, times
+    ``scale``, into ``grads``.
 
-    Per time step, one weighted ``bincount`` sums the hinge gradients into a
-    (P, n_targets) cosine-gradient block (duplicate negatives add up), which
-    two matmuls carry to both sides' unit rows.
+    The caller carries the returned gradient through ``unit_rows_backward``
+    and the target integration's backward, so gradients of several pair
+    sets over one target integration can be summed first. Per time step,
+    one weighted ``bincount`` sums the hinge gradients into a (P, n_targets)
+    cosine-gradient block (duplicate negatives add up), which two matmuls
+    carry to both sides' unit rows.
     """
     u_src, u_tgt = cache["u_src"], cache["u_tgt"]
     beta, hinge = cache["beta"], cache["hinge"]
@@ -258,7 +261,7 @@ def alignment_loss_bwd(
     rows, pair_targets = np.arange(p), cache["pair_targets"]
 
     # hinge is already zero at the -1 (invalid) negatives
-    g_hinge = beta[:, None, :] * (hinge > 0.0) * cache["weight"]  # (P, N, T)
+    g_hinge = beta[:, None, :] * (hinge > 0.0) * (cache["weight"] * scale)
     g_pos = g_hinge.sum(axis=1).T  # (T, P)
     cells = (rows[:, None] * n_targets + cache["safe_negs"]).ravel()
     g_u_src, g_u_tgt = np.empty_like(u_src), np.empty_like(u_tgt)
@@ -273,13 +276,5 @@ def alignment_loss_bwd(
 
     grad_h_src = unit_rows_backward(g_u_src, u_src, cache["n_src"])
     del g_u_src
-    grad_src_trajs = temporal_integrate_batch_bwd(
-        grad_h_src, cache["cache_src"], ap, grads
-    )
-    del grad_h_src
-    grad_h_tgt = unit_rows_backward(g_u_tgt, u_tgt, cache["n_tgt"])
-    del g_u_tgt
-    grad_tgt_trajs = temporal_integrate_batch_bwd(
-        grad_h_tgt, cache["cache_tgt"], ap, grads
-    )
-    return grad_src_trajs, grad_tgt_trajs
+    temporal_integrate_batch_bwd(grad_h_src, cache["cache_src"], ap, grads)
+    return g_u_tgt

@@ -15,6 +15,7 @@ from .alignment import (
     alignment_loss_bwd,
     alignment_loss_fwd,
     init_align_params,
+    temporal_integrate_batch_bwd,
     temporal_integrate_batch_fwd,
 )
 from .distill import (
@@ -32,7 +33,7 @@ from .encoder import (
     init_network_params,
 )
 from .evaluation import EncodingCache, evaluate, score_object_queries
-from .numerics import AdamState, ParamDict, adam_step, unit_rows
+from .numerics import AdamState, ParamDict, adam_step, unit_rows, unit_rows_backward
 from .scoring import (
     BOTH_SIDES,
     NegativeSamplerConfig,
@@ -326,29 +327,40 @@ def _alignment_terms(
 
     Returns (loss, align_grads, grad wrt target trajectories); without
     ``with_grad`` the backward pass is skipped and both grads stay zero.
+    The targets are integrated once for both pair sets, and the sets'
+    weighted unit-row gradients are summed before one backward through
+    that integration.
     """
-    w_gt, w_ps = weights
+    h_tgt, tgt_cache = temporal_integrate_batch_fwd(align, target_trajs)
     loss = 0.0
-    align_grads = align.zero_grads()
-    grad_tgt = np.zeros_like(target_trajs)
-    for idx, (pairs, w) in enumerate(((gt_pairs, w_gt), (ps_pairs, w_ps))):
+    terms = []
+    for idx, (pairs, w) in enumerate(zip((gt_pairs, ps_pairs), weights)):
         if not pairs or w == 0.0:
             continue
         src, tgt, excl = _pair_arrays(pairs, alignments)
         override = strength_overrides[idx] if strength_overrides else None
         term, cache = alignment_loss_fwd(
-            align, source_traj_bank[src], target_trajs, tgt, excl,
+            align, source_traj_bank[src], h_tgt, tgt, excl,
             cfg.alignment_negatives, cfg.margin_alignment, rng,
             uniform_strength=cfg.uniform_strength, strength_override=override,
         )
         loss += w * term
-        if not with_grad:
-            continue
-        part = align.zero_grads()
-        _, g_tgt = alignment_loss_bwd(cache, align, part)
-        grad_tgt += w * g_tgt
-        for k in align_grads:
-            align_grads[k] += w * part[k]
+        terms.append((w, cache))
+    del h_tgt
+    align_grads = align.zero_grads()
+    if not (with_grad and terms):
+        return loss, align_grads, np.zeros_like(target_trajs)
+    g_u = None
+    for w, cache in terms:
+        part = alignment_loss_bwd(cache, align, align_grads, w)
+        g_u = part if g_u is None else np.add(g_u, part, out=g_u)
+    u_tgt, n_tgt = cache["u_tgt"], cache["n_tgt"]
+    del terms, cache, part
+    grad_h = unit_rows_backward(g_u, u_tgt, n_tgt)
+    # the integrated targets and their unit rows are gone before the
+    # integration's backward builds its temporaries
+    del g_u, u_tgt, n_tgt
+    grad_tgt = temporal_integrate_batch_bwd(grad_h, tgt_cache, align, align_grads)
     return loss, align_grads, grad_tgt
 
 

@@ -1,6 +1,6 @@
 """Scalar views of the batched alignment kernels, for the tests: one
-trajectory's integration, one cosine correspondence, one strength value and
-the loss without its cache.
+trajectory's integration, one cosine correspondence, one strength value,
+and the loss and its gradients on raw target trajectories.
 """
 
 from __future__ import annotations
@@ -9,10 +9,13 @@ import numpy as np
 
 from tkgdistill.alignment import (
     AlignParams,
+    alignment_loss_bwd,
     alignment_loss_fwd,
     strength_diagonal,
+    temporal_integrate_batch_bwd,
     temporal_integrate_batch_fwd,
 )
+from tkgdistill.numerics import unit_rows_backward
 
 
 def temporal_integrate(ap: AlignParams, traj: np.ndarray) -> np.ndarray:
@@ -42,7 +45,22 @@ def alignment_strength(
     return float(strength_diagonal(ap, h_source, h_target)[t - 1])
 
 
+def alignment_step(ap: AlignParams, source_trajs, target_trajs, *args, **kwargs):
+    """``alignment_loss_fwd`` on raw target trajectories, integrated here as
+    the trainer integrates them. Returns the loss, the loss cache and
+    ``backward(grads)``, which accumulates the parameter gradients into
+    ``grads`` and returns the gradient with respect to ``target_trajs``."""
+    h_tgt, tgt_cache = temporal_integrate_batch_fwd(ap, target_trajs)
+    loss, cache = alignment_loss_fwd(ap, source_trajs, h_tgt, *args, **kwargs)
+
+    def backward(grads):
+        g_u = alignment_loss_bwd(cache, ap, grads)
+        g_h = unit_rows_backward(g_u, cache["u_tgt"], cache["n_tgt"])
+        return temporal_integrate_batch_bwd(g_h, tgt_cache, ap, grads)
+
+    return loss, cache, backward
+
+
 def alignment_loss(*args, **kwargs) -> float:
-    """``alignment_loss_fwd`` without its cache."""
-    loss, _ = alignment_loss_fwd(*args, **kwargs)
-    return loss
+    """``alignment_step``'s loss alone."""
+    return alignment_step(*args, **kwargs)[0]

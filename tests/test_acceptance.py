@@ -202,7 +202,7 @@ def _reasoning_check(seed):
 
 
 def _alignment_check(seed):
-    from tkgdistill.alignment import alignment_loss_bwd, alignment_loss_fwd
+    from alignment_reference import alignment_step
 
     kg, student, align, bank, _, batches, cfg = _grad_toy(seed)
     beta_gt, _ = _frozen_strengths(student, align, kg, bank, batches, cfg)
@@ -218,14 +218,14 @@ def _alignment_check(seed):
 
     def lg(p):
         rng = np.random.default_rng(seed + 31)
-        loss, cache = alignment_loss_fwd(
+        loss, _, backward = alignment_step(
             align, bank[src], p["trajs"], tgt_ids, excl, 3,
             cfg.margin_alignment, rng, strength_override=beta_gt,
         )
 
         def grads():
             g = align.zero_grads()
-            _, g_trajs = alignment_loss_bwd(cache, align, g)
+            g_trajs = backward(g)
             out = {"phi." + k: v for k, v in g.items()}
             out["trajs"] = g_trajs
             return out

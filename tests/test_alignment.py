@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from alignment_reference import (
     alignment_loss,
+    alignment_step,
     alignment_strength,
     correspondence,
     temporal_integrate,
 )
 from tkgdistill.alignment import (
-    alignment_loss_bwd,
-    alignment_loss_fwd,
     init_align_params,
     strength_diagonal,
     temporal_integrate_batch_fwd,
@@ -199,7 +198,7 @@ class TestAlignmentLoss:
         # targets identical to integrated sources: g(pos) = 1 everywhere;
         # margin tiny so hinge shuts off unless a negative also hits 1
         h_src, _ = temporal_integrate_batch_fwd(ap, src)
-        loss, cache = alignment_loss_fwd(
+        loss, _, _ = alignment_step(
             ap, src, src, np.arange(3), excl, 2, 1e-9,
             np.random.default_rng(0), uniform_strength=True,
         )
@@ -246,7 +245,7 @@ class TestAlignmentLoss:
     def test_matches_bruteforce_recomputation(self, case):
         ap, src, tgt, pair_targets, excl, n_neg = _case_setup(case, 4)
         rng = np.random.default_rng(7)
-        loss, cache = alignment_loss_fwd(
+        loss, cache, _ = alignment_step(
             ap, src, tgt, pair_targets, excl, n_neg, 0.5, rng
         )
         _assert_case_reached(case, cache)
@@ -281,11 +280,11 @@ class TestAlignmentLoss:
         excl = [{int(i)} for i in pair_targets]
         tracemalloc.start()
         try:
-            _, cache = alignment_loss_fwd(
+            _, _, backward = alignment_step(
                 ap, src, tgt, pair_targets, excl, 50, 0.5,
                 np.random.default_rng(2),
             )
-            alignment_loss_bwd(cache, ap, ap.zero_grads())
+            backward(ap.zero_grads())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -294,7 +293,7 @@ class TestAlignmentLoss:
     def test_negative_exclusions_respected(self):
         ap, src, tgt, pair_targets, _ = _loss_setup(5, n_targets=8)
         excl = [{0, 1, 2}, {3, 4}, {5}]
-        _, cache = alignment_loss_fwd(
+        _, cache, _ = alignment_step(
             ap, src, tgt, pair_targets, excl, 4, 0.5, np.random.default_rng(1)
         )
         negs, valid = cache["safe_negs"], cache["valid"]
@@ -315,21 +314,21 @@ class TestAlignmentGradients:
         beta0 = strength_diagonal(ap, h_src, h_tgt[pair_targets])
 
         def fwd():
-            return alignment_loss_fwd(
+            return alignment_step(
                 ap, src, tgt, pair_targets, excl, n_neg, 0.5003,
                 np.random.default_rng(42), strength_override=beta0,
             )
 
-        _, cache = fwd()
+        _, cache, backward = fwd()
         _assert_case_reached(case, cache)
-        _, g_tgt = alignment_loss_bwd(cache, ap, ap.zero_grads())
+        g_tgt = backward(ap.zero_grads())
         if case == "dead_negative":  # a zero row gets zero gradient
             assert not g_tgt[5].any()
 
         def lg(p):
-            loss, cache = fwd()
+            loss, _, backward = fwd()
             grads = ap.zero_grads()
-            alignment_loss_bwd(cache, ap, grads)
+            backward(grads)
             return loss, grads
 
         assert grad_check(lg, ap.trainable(), 1e-5, 1e-5).passed
@@ -342,12 +341,11 @@ class TestAlignmentGradients:
         box = {"tgt": tgt}
 
         def lg(p):
-            loss, cache = alignment_loss_fwd(
+            loss, _, backward = alignment_step(
                 ap, src, p["tgt"], pair_targets, excl, 3, 0.5003,
                 np.random.default_rng(42), strength_override=beta0,
             )
-            grads = ap.zero_grads()
-            _, g_tgt = alignment_loss_bwd(cache, ap, grads)
+            g_tgt = backward(ap.zero_grads())
             return loss, {"tgt": g_tgt}
 
         assert grad_check(lg, box, 1e-5, 1e-5).passed

