@@ -95,30 +95,43 @@ def temporal_integrate_batch_fwd(
 
 
 def temporal_integrate_batch_bwd(
-    grad_out: np.ndarray, cache: dict, ap: AlignParams, grads: ParamDict
-) -> np.ndarray:
-    """Accumulate attention-parameter grads; return d loss / d trajectories.
+    grad_out: np.ndarray,
+    cache: dict,
+    ap: AlignParams,
+    grads: ParamDict | None = None,
+    traj_grad: bool = True,
+) -> np.ndarray | None:
+    """Return d loss / d trajectories (None without ``traj_grad``) and, if
+    ``grads`` is given, accumulate the attention-parameter grads into it.
 
-    v, k and q are recomputed from ``trajs`` one at a time: the parameters
-    do not change between a forward and its backward.
+    A caller that keeps only one of the two skips the other's products. v,
+    k and q are recomputed from ``trajs`` one at a time: the parameters do
+    not change between a forward and its backward.
     """
     trajs, beta = cache["trajs"], cache["beta"]
     d = trajs.shape[-1]
-    g_beta = grad_out @ (trajs @ ap.temporal_WV).transpose(0, 2, 1)
-    g_scores = softmax_rows_backward(beta, g_beta) / np.sqrt(d)
-    del g_beta
+    g_scores = grad_out @ (trajs @ ap.temporal_WV).transpose(0, 2, 1)  # d beta
+    softmax_rows_backward(beta, g_scores)
+    g_scores /= np.sqrt(d)
+    grad_trajs = None
     g_q = g_scores @ (trajs @ ap.temporal_WK)
+    if grads is not None:
+        grads["temporal_WQ"] += np.tensordot(trajs, g_q, axes=([0, 1], [0, 1]))
+    if traj_grad:
+        grad_trajs = g_q @ ap.temporal_WQ.T
+    del g_q
     g_k = g_scores.transpose(0, 2, 1) @ (trajs @ ap.temporal_WQ)
     del g_scores
-    grads["temporal_WQ"] += np.tensordot(trajs, g_q, axes=([0, 1], [0, 1]))
-    grad_trajs = g_q @ ap.temporal_WQ.T
-    del g_q
-    grads["temporal_WK"] += np.tensordot(trajs, g_k, axes=([0, 1], [0, 1]))
-    grad_trajs += g_k @ ap.temporal_WK.T
+    if grads is not None:
+        grads["temporal_WK"] += np.tensordot(trajs, g_k, axes=([0, 1], [0, 1]))
+    if traj_grad:
+        grad_trajs += g_k @ ap.temporal_WK.T
     del g_k
     g_v = beta.transpose(0, 2, 1) @ grad_out
-    grads["temporal_WV"] += np.tensordot(trajs, g_v, axes=([0, 1], [0, 1]))
-    grad_trajs += g_v @ ap.temporal_WV.T
+    if grads is not None:
+        grads["temporal_WV"] += np.tensordot(trajs, g_v, axes=([0, 1], [0, 1]))
+    if traj_grad:
+        grad_trajs += g_v @ ap.temporal_WV.T
     return grad_trajs
 
 
@@ -241,11 +254,15 @@ def alignment_loss_fwd(
 
 
 def alignment_loss_bwd(
-    cache: dict, ap: AlignParams, grads: ParamDict, scale: float = 1.0
+    cache: dict, ap: AlignParams, grads: ParamDict | None = None,
+    scale: float = 1.0,
 ) -> np.ndarray:
-    """Return d (scale * loss) / d target unit rows ``cache["u_tgt"]``, and
-    accumulate the source side's share of the parameter gradients, times
-    ``scale``, into ``grads``.
+    """Return d (scale * loss) / d target unit rows ``cache["u_tgt"]``, and,
+    if ``grads`` is given, accumulate the source side's share of the
+    parameter gradients, times ``scale``, into it. Without ``grads`` (a
+    frozen module) nothing of the source side's backward runs; the source
+    trajectories belong to the frozen teacher, so their gradient is never
+    computed.
 
     The caller carries the returned gradient through ``unit_rows_backward``
     and the target integration's backward, so gradients of several pair
@@ -264,17 +281,21 @@ def alignment_loss_bwd(
     g_hinge = beta[:, None, :] * (hinge > 0.0) * (cache["weight"] * scale)
     g_pos = g_hinge.sum(axis=1).T  # (T, P)
     cells = (rows[:, None] * n_targets + cache["safe_negs"]).ravel()
-    g_u_src, g_u_tgt = np.empty_like(u_src), np.empty_like(u_tgt)
+    g_u_tgt = np.empty_like(u_tgt)
+    g_u_src = None if grads is None else np.empty_like(u_src)
     for t in range(t_len):
         g_sim = np.bincount(
             cells, weights=g_hinge[:, :, t].ravel(), minlength=p * n_targets
         ).reshape(p, n_targets)
         g_sim[rows, pair_targets] -= g_pos[t]
-        np.matmul(g_sim, u_tgt[:, t], out=g_u_src[:, t])
+        if g_u_src is not None:
+            np.matmul(g_sim, u_tgt[:, t], out=g_u_src[:, t])
         np.matmul(g_sim.T, u_src[:, t], out=g_u_tgt[:, t])
     del g_sim, g_hinge
 
-    grad_h_src = unit_rows_backward(g_u_src, u_src, cache["n_src"])
-    del g_u_src
-    temporal_integrate_batch_bwd(grad_h_src, cache["cache_src"], ap, grads)
+    if g_u_src is not None:
+        unit_rows_backward(g_u_src, u_src, cache["n_src"])
+        temporal_integrate_batch_bwd(
+            g_u_src, cache["cache_src"], ap, grads, traj_grad=False
+        )
     return g_u_tgt

@@ -50,9 +50,12 @@ def softmax_masked_rows(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows_backward(alpha: np.ndarray, grad_alpha: np.ndarray) -> np.ndarray:
-    """d loss / d logits for a row-wise softmax with weights ``alpha``."""
+    """d loss / d logits for a row-wise softmax with weights ``alpha``,
+    written over ``grad_alpha`` and returned."""
     inner = (alpha * grad_alpha).sum(axis=-1, keepdims=True)
-    return alpha * (grad_alpha - inner)
+    grad_alpha -= inner
+    grad_alpha *= alpha
+    return grad_alpha
 
 
 def add_rows_at(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
@@ -111,13 +114,17 @@ def unit_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def unit_rows_backward(
     g_u: np.ndarray, u: np.ndarray, norms: np.ndarray
 ) -> np.ndarray:
-    """d loss / d h from d loss / d u for ``u, norms = unit_rows(h)``.
+    """d loss / d h from d loss / d u for ``u, norms = unit_rows(h)``,
+    written over ``g_u`` and returned.
 
     The gradient is ``g_u`` minus its component along ``u``, divided by the
     norm; zero rows get zero gradient.
     """
-    g_h = g_u - (g_u * u).sum(axis=-1, keepdims=True) * u
-    return np.divide(g_h, norms, out=np.zeros_like(g_h), where=norms > 0)
+    g_u -= (g_u * u).sum(axis=-1, keepdims=True) * u
+    live = norms > 0
+    np.divide(g_u, norms, out=g_u, where=live)
+    np.copyto(g_u, 0.0, where=~live)
+    return g_u
 
 
 @dataclass

@@ -321,15 +321,17 @@ def _alignment_terms(
     cfg: TrainConfig,
     rng: np.random.Generator,
     strength_overrides: tuple | None = None,
-    with_grad: bool = True,
+    param_grads: bool = True,
+    traj_grad: bool = True,
 ):
     """Weighted ground-truth + pseudo alignment hinge, with grads.
 
-    Returns (loss, align_grads, grad wrt target trajectories); without
-    ``with_grad`` the backward pass is skipped and both grads stay zero.
-    The targets are integrated once for both pair sets, and the sets'
-    weighted unit-row gradients are summed before one backward through
-    that integration.
+    Returns (loss, align_grads, grad wrt target trajectories); a gradient
+    the caller does not ask for is None and its backward work is skipped.
+    The alignment fit asks for ``param_grads`` only, the distillation
+    channel for ``traj_grad`` only. The targets are integrated once for
+    both pair sets, and the sets' weighted unit-row gradients are summed
+    before one backward through that integration.
     """
     h_tgt, tgt_cache = temporal_integrate_batch_fwd(align, target_trajs)
     loss = 0.0
@@ -347,20 +349,22 @@ def _alignment_terms(
         loss += w * term
         terms.append((w, cache))
     del h_tgt
-    align_grads = align.zero_grads()
-    if not (with_grad and terms):
-        return loss, align_grads, np.zeros_like(target_trajs)
+    align_grads = align.zero_grads() if param_grads else None
+    if not (param_grads or traj_grad):
+        return loss, None, None
+    if not terms:
+        return loss, align_grads, np.zeros_like(target_trajs) if traj_grad else None
     g_u = None
     for w, cache in terms:
         part = alignment_loss_bwd(cache, align, align_grads, w)
         g_u = part if g_u is None else np.add(g_u, part, out=g_u)
-    u_tgt, n_tgt = cache["u_tgt"], cache["n_tgt"]
+    unit_rows_backward(g_u, cache["u_tgt"], cache["n_tgt"])  # now d loss / d h
+    # the unit rows go, as the integrated targets went after the forwards,
+    # before the integration's backward builds its temporaries
     del terms, cache, part
-    grad_h = unit_rows_backward(g_u, u_tgt, n_tgt)
-    # the integrated targets and their unit rows are gone before the
-    # integration's backward builds its temporaries
-    del g_u, u_tgt, n_tgt
-    grad_tgt = temporal_integrate_batch_bwd(grad_h, tgt_cache, align, align_grads)
+    grad_tgt = temporal_integrate_batch_bwd(
+        g_u, tgt_cache, align, align_grads, traj_grad
+    )
     return loss, align_grads, grad_tgt
 
 
@@ -430,14 +434,15 @@ def combined_loss_and_grad(
         tgt_trajs, traj_cache = encode_trajectories_fwd(
             student, union_kg, all_targets, t_train, cfg.neighbors
         )
-        a_loss, align_grads, grad_tgt = _alignment_terms(
+        a_loss, a_grads, grad_tgt = _alignment_terms(
             align, source_traj_bank, tgt_trajs, batches.gt_pairs,
             batches.ps_pairs, alignments, w_align, cfg,
             rng_for(cfg.seed, _RNG_CHANNEL, seed_tag), strength_overrides,
-            with_grad,
+            with_grad, with_grad,
         )
         loss += a_loss
         if with_grad:
+            align_grads = a_grads
             encode_trajectories_bwd(grad_tgt, traj_cache, student, student_grads)
     return loss, student_grads, align_grads
 
@@ -573,9 +578,9 @@ def train_mpkd(
     )
 
     t_train = cfg.split_train_steps
-    source_traj_bank, _ = encode_trajectories_fwd(
+    source_traj_bank = encode_trajectories_fwd(
         teacher, source_kg, np.arange(teacher.n_entities), t_train, cfg.neighbors,
-    )
+    )[0]
     active_sources = frozenset(
         e
         for e in range(teacher.n_entities)
@@ -596,6 +601,9 @@ def train_mpkd(
     )
     all_targets = np.arange(student.n_entities, dtype=np.int64)
     best_student, best_align = student.copy(), align.copy()
+    # all-target trajectories of the current student on the current union
+    # graph; a pseudo round leaves its own for the next epoch's fit
+    tgt_trajs = None
 
     for epoch in range(cfg.epochs):
         state.epoch = epoch
@@ -606,9 +614,10 @@ def train_mpkd(
         # (a) alignment module fit, encoders frozen
         align_losses = []
         if gt_pairs or ps_pairs:
-            tgt_trajs, _ = encode_trajectories_fwd(
-                student, state.union_kg, all_targets, t_train, cfg.neighbors,
-            )
+            if tgt_trajs is None:
+                tgt_trajs = encode_trajectories_fwd(
+                    student, state.union_kg, all_targets, t_train, cfg.neighbors,
+                )[0]
             order = rng_for(cfg.seed, _RNG_SHUFFLE, _RNG_ALIGN, epoch).permutation(
                 len(state.alignments.pairs)
             )
@@ -619,13 +628,14 @@ def train_mpkd(
                     [p for p in chunk if p.provenance == GROUND_TRUTH],
                     [p for p in chunk if p.provenance != GROUND_TRUTH],
                     state.alignments, w_align, cfg,
-                    rng_for(cfg.seed, _RNG_ALIGN, epoch, bi),
+                    rng_for(cfg.seed, _RNG_ALIGN, epoch, bi), traj_grad=False,
                 )
                 if not np.isfinite(loss):
                     raise RuntimeError(f"alignment loss diverged at epoch {epoch}")
                 adam_step(align.trainable(), grads, state.adam_align,
                           cfg.learning_rate)
                 align_losses.append(loss)
+        tgt_trajs = None  # the student and the union graph change below
 
         # (b) event transfer; it shares the pseudo-data warmup: both halves of
         # the generated data start once the student has structure to offer
@@ -681,19 +691,20 @@ def train_mpkd(
         if gt_pairs or ps_pairs:
             # distillation channel: the alignment terms pull the student's
             # trajectories toward the teacher's through the frozen module
-            tgt_trajs, traj_cache = encode_trajectories_fwd(
+            chan_trajs, traj_cache = encode_trajectories_fwd(
                 student, state.union_kg, all_targets, t_train, cfg.neighbors,
             )
             loss, _, grad_tgt = _alignment_terms(
-                align, source_traj_bank, tgt_trajs, gt_pairs, ps_pairs,
+                align, source_traj_bank, chan_trajs, gt_pairs, ps_pairs,
                 state.alignments, w_align, cfg,
-                rng_for(cfg.seed, _RNG_CHANNEL, epoch),
+                rng_for(cfg.seed, _RNG_CHANNEL, epoch), param_grads=False,
             )
+            del chan_trajs
             grads = student.zero_grads()
             encode_trajectories_bwd(grad_tgt, traj_cache, student, grads)
             # the per-step caches would otherwise live on through the pseudo
             # round and validation
-            del tgt_trajs, traj_cache, grad_tgt
+            del traj_cache, grad_tgt
             adam_step(student.trainable(), grads, state.adam_student,
                       cfg.learning_rate)
             student_losses.append(loss)
@@ -701,7 +712,7 @@ def train_mpkd(
         # (d) pseudo-alignment generation under the paced budget
         fraction = pseudo_fraction_at(cfg, epoch)
         if not (cfg.no_pseudo or cfg.pure_training) and fraction > 0.0:
-            _generate_pseudo_round(
+            tgt_trajs = _generate_pseudo_round(
                 state, source_traj_bank, active_sources, cfg, fraction, epoch
             )
 
@@ -747,22 +758,27 @@ def _generate_pseudo_round(
     cfg: TrainConfig,
     fraction: float,
     epoch: int,
-) -> None:
-    """One pseudo-alignment generation round; rewrites the pseudo subset."""
+) -> np.ndarray | None:
+    """One pseudo-alignment generation round; rewrites the pseudo subset.
+
+    Returns the all-target trajectories it encoded, or None. Nothing
+    changes the student or the union graph before the next epoch's
+    alignment fit, so they are that fit's trajectories.
+    """
     student, align = state.student, state.align
     n_targets = student.n_entities
     budget = int(np.floor(fraction * n_targets + 0.5))
     if budget < 1:
-        return
+        return None
     cands = candidate_targets(state.union_kg, state.alignments, cfg.split_train_steps)
     if not cands:
-        return
+        return None
     all_targets = np.arange(n_targets, dtype=np.int64)
-    tgt_trajs, _ = encode_trajectories_fwd(
+    tgt_trajs = encode_trajectories_fwd(
         student, state.union_kg, all_targets, cfg.split_train_steps, cfg.neighbors,
-    )
-    h_src, _ = temporal_integrate_batch_fwd(align, source_traj_bank)
-    h_tgt, _ = temporal_integrate_batch_fwd(align, tgt_trajs)
+    )[0]
+    h_src = temporal_integrate_batch_fwd(align, source_traj_bank)[0]
+    h_tgt = temporal_integrate_batch_fwd(align, tgt_trajs)[0]
 
     cand_ids = np.asarray(cands, dtype=np.int64)
     gt_pairs = [p for p in state.alignments if p.provenance == GROUND_TRUTH]
@@ -779,7 +795,7 @@ def _generate_pseudo_round(
         dtype=np.int64,
     )
     if src_ids.size == 0:
-        return
+        return tgt_trajs
     sim = _mean_sim_matrix(h_src[src_ids], h_tgt[cand_ids])
     existing_sim = {}
     cand_set = set(cands)
@@ -791,6 +807,7 @@ def _generate_pseudo_round(
                     h_tgt[p.target_entity : p.target_entity + 1],
                 )[0, 0]
             )
+    del h_src, h_tgt
     table = CandidateTable(src_ids, cand_ids, sim, existing_sim)
     gen_cfg = PseudoGenConfig(
         top_k_budget=budget,
@@ -805,3 +822,4 @@ def _generate_pseudo_round(
     state.pseudo_audit.extend(
         (epoch, src, tgt, sim_v, action) for src, tgt, sim_v, action in result.audit
     )
+    return tgt_trajs
