@@ -3,10 +3,12 @@
 For each seed this runs one ``experiments.run_transfer`` on each config of
 ``scripts/output_digest.py`` (desk, paper_dims, scale5x) under
 ``tracemalloc`` and prints, in MB, the largest peak of each phase over its
-calls: teacher pretraining, ``_alignment_terms`` (alignment fit and
-distillation channel), ``_reasoning_terms`` (student batches), the all-target
-trajectory encodes (forward and backward), the pseudo round, event transfer
-and validation, then the peak of the whole run. A phase's peak is the
+calls: teacher pretraining, the alignment fit and the distillation channel
+(the ``_alignment_terms`` calls that ask for parameter gradients only and
+for the target-trajectory gradient only), ``_reasoning_terms`` (student
+batches), the all-target trajectory encodes (forward and backward), the
+pseudo round, event transfer and validation, then the peak of the whole
+run and the run's minor page faults (``ru_minflt``). A phase's peak is the
 largest traced size while it runs, memory held by its caller included, so
 the phase holding the run's peak reads the run's peak. A phase that never
 ran reads ``-``. The last line is the process's ``ru_maxrss``: the largest
@@ -32,16 +34,31 @@ from tkgdistill.tkg import generate_synthetic_pair  # noqa: E402
 
 MB = 1e6
 
-# (label, module, attribute): the module namespace the call is looked up in
+
+def _alignment_phase(kwargs) -> str:
+    """The caller of an ``_alignment_terms`` call, told by what it asks for."""
+    if not kwargs.get("traj_grad", True):
+        return "alignment_fit"
+    if not kwargs.get("param_grads", True):
+        return "distill_channel"
+    return "_alignment_terms"
+
+
+# (label, module, attribute): the module namespace the call is looked up in;
+# a callable label names the phase from the call's keyword arguments
 PHASES = (
     ("teacher", experiments, "pretrain_teacher"),
-    ("_alignment_terms", trainer, "_alignment_terms"),
+    (_alignment_phase, trainer, "_alignment_terms"),
     ("_reasoning_terms", trainer, "_reasoning_terms"),
     ("trajectory_encode_fwd", trainer, "encode_trajectories_fwd"),
     ("trajectory_encode_bwd", trainer, "encode_trajectories_bwd"),
     ("pseudo_round", trainer, "_generate_pseudo_round"),
     ("transfer", trainer, "transfer_events"),
     ("validation", trainer, "evaluate"),
+)
+# the phases a run_transfer reaches, in print order
+LABELS = ("teacher", "alignment_fit", "distill_channel") + tuple(
+    label for label, _, _ in PHASES[2:]
 )
 
 
@@ -58,6 +75,7 @@ class PeakTracker:
 
     def wrap(self, label, fn):
         def traced(*args, **kwargs):
+            name = label(kwargs) if callable(label) else label
             self._stack[-1] = max(self._stack[-1], tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             self._stack.append(0)
@@ -65,7 +83,7 @@ class PeakTracker:
                 return fn(*args, **kwargs)
             finally:
                 peak = max(self._stack.pop(), tracemalloc.get_traced_memory()[1])
-                self.peaks[label] = max(self.peaks.get(label, 0), peak)
+                self.peaks[name] = max(self.peaks.get(name, 0), peak)
                 self._stack[-1] = max(self._stack[-1], peak)
                 tracemalloc.reset_peak()
 
@@ -75,8 +93,9 @@ class PeakTracker:
         return max(self._stack[0], tracemalloc.get_traced_memory()[1])
 
 
-def traced_run(gen, cfg, seed: int) -> tuple[dict[str, int], int]:
-    """Phase peaks and whole-run peak (bytes) of one ``run_transfer``."""
+def traced_run(gen, cfg, seed: int) -> tuple[dict[str, int], int, int]:
+    """Phase peaks, whole-run peak (bytes) and minor page faults of one
+    ``run_transfer``."""
     pair = generate_synthetic_pair(gen, seed)
     tracker = PeakTracker()
     originals = [(module, name, getattr(module, name)) for _, module, name in PHASES]
@@ -84,8 +103,10 @@ def traced_run(gen, cfg, seed: int) -> tuple[dict[str, int], int]:
         setattr(module, name, tracker.wrap(label, getattr(module, name)))
     tracemalloc.start()
     try:
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         experiments.run_transfer(pair, replace(cfg, seed=seed), experiments.TeacherBank())
-        return tracker.peaks, tracker.total()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        return tracker.peaks, tracker.total(), faults
     finally:
         tracemalloc.stop()
         for module, name, fn in originals:
@@ -98,13 +119,13 @@ def main() -> int:
     args = parser.parse_args()
     for config, (gen, cfg) in CONFIGS.items():
         for seed in args.seeds:
-            peaks, total = traced_run(gen, cfg, seed)
+            peaks, total, faults = traced_run(gen, cfg, seed)
             cells = ", ".join(
                 f"{label} {peaks[label] / MB:.1f}" if label in peaks else f"{label} -"
-                for label, _, _ in PHASES
+                for label in LABELS
             )
-            print(f"{config} seed {seed} peak MB: {cells}, run {total / MB:.1f}",
-                  flush=True)
+            print(f"{config} seed {seed} peak MB: {cells}, run {total / MB:.1f}; "
+                  f"ru_minflt {faults}", flush=True)
     maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(f"ru_maxrss {maxrss_kb * 1024 / MB:.1f} MB")
     return 0

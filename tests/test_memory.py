@@ -5,9 +5,12 @@ The encoder's backward gathers embedding rows again instead of keeping the
 forward's copies, so a cache holds index arrays, attention weights, the
 aggregate and a ReLU mask: nothing with b * d values per row. The alignment
 loss scores one time step at a time, so no (T, P, n_targets) block is built,
-and temporal integration caches only its input and attention weights.
+and temporal integration caches only its input and attention weights. An
+alignment step integrates the targets once and runs only the backward its
+caller keeps.
 """
 
+import functools
 import tracemalloc
 from dataclasses import replace
 
@@ -52,15 +55,48 @@ def test_trajectory_cache_holds_no_gathered_rows():
     assert held < 16 * MB, held / MB
 
 
+RUN_CONFIGS = {
+    "paper_dims": (
+        GeneratorConfig(coverage=0.3),
+        replace(TrainConfig(epochs=1, warmup_epochs_before_generation=0), seed=0),
+    ),
+    "scale5x": (
+        replace(
+            experiments.DESK_GENERATOR, source_entities=1000, target_entities=1000,
+            events_per_step=125, target_background_per_step=20,
+        ),
+        replace(
+            experiments.DESK_TRAIN, epochs=1, warmup_epochs_before_generation=0,
+            seed=0,
+        ),
+    ),
+}
+
+
+@functools.cache
+def _run_peak(config: str) -> int:
+    """Traced peak of one seed-0 ``run_transfer`` (1 epoch) of a config,
+    measured once for all the bounds on it."""
+    gen, cfg = RUN_CONFIGS[config]
+    pair = generate_synthetic_pair(gen, 0)
+    return _traced_peak(
+        lambda: experiments.run_transfer(pair, cfg, experiments.TeacherBank())
+    )
+
+
 def test_paper_dims_run_peak_is_bounded():
     """The traced peak of one paper_dims ``run_transfer`` (1 epoch); it sits
     in teacher pretraining, not in kept encoder or alignment caches."""
-    pair = generate_synthetic_pair(GeneratorConfig(coverage=0.3), 0)
-    cfg = replace(TrainConfig(epochs=1, warmup_epochs_before_generation=0), seed=0)
-    peak = _traced_peak(
-        lambda: experiments.run_transfer(pair, cfg, experiments.TeacherBank())
-    )
+    peak = _run_peak("paper_dims")
     assert peak < 150 * MB, peak / MB
+
+
+def test_paper_dims_run_peak_without_gathered_message_blocks():
+    """The encoder's backward sums its messages through a sparse product and
+    gathers neighbour rows in chunks, so teacher pretraining builds no
+    (slots, d) block; it held the peak at 88 MiB while it did."""
+    peak = _run_peak("paper_dims")
+    assert peak < 80 * MB, peak / MB
 
 
 def test_alignment_step_peak_at_scale5x_shape():
@@ -96,15 +132,14 @@ def test_integration_cache_holds_no_projections():
 def test_scale5x_run_peak_is_bounded():
     """The traced peak of one scale5x-config ``run_transfer`` (1 epoch); the
     alignment step held it while it built (T, P, n_targets) blocks."""
-    gen = replace(
-        experiments.DESK_GENERATOR, source_entities=1000, target_entities=1000,
-        events_per_step=125, target_background_per_step=20,
-    )
-    cfg = replace(
-        experiments.DESK_TRAIN, epochs=1, warmup_epochs_before_generation=0, seed=0
-    )
-    pair = generate_synthetic_pair(gen, 0)
-    peak = _traced_peak(
-        lambda: experiments.run_transfer(pair, cfg, experiments.TeacherBank())
-    )
+    peak = _run_peak("scale5x")
     assert peak < 130 * MB, peak / MB
+
+
+def test_scale5x_run_peak_with_one_target_integration():
+    """The alignment step integrates the targets once, frees them and their
+    unit rows before that integration's backward, and runs only the
+    backward its caller keeps; it held the peak at 95 MiB when every call
+    ran the whole backward."""
+    peak = _run_peak("scale5x")
+    assert peak < 80 * MB, peak / MB

@@ -324,6 +324,38 @@ class TestCombinedLoss:
         )
         assert loss == pytest.approx(l_g + l_a, rel=1e-12)
 
+    def test_alignment_terms_compute_only_the_requested_grads(self):
+        # the alignment fit asks for the parameter gradients only and the
+        # distillation channel for the target-trajectory gradient only; each
+        # equals the full call's, bit for bit
+        from tkgdistill.trainer import _alignment_terms, rng_for, _RNG_CHANNEL
+
+        student, align, union, bank, aligns, batches, cfg = self._setup(True)
+        trajs, _ = encode_trajectories_fwd(
+            student, union, np.arange(10), cfg.split_train_steps, cfg.neighbors
+        )
+        weights = set_size_weights(len(batches.gt_pairs), len(batches.ps_pairs))
+
+        def call(**wanted):
+            return _alignment_terms(
+                align, bank, trajs, batches.gt_pairs, batches.ps_pairs, aligns,
+                weights, cfg, rng_for(cfg.seed, _RNG_CHANNEL, 0), **wanted,
+            )
+
+        loss, grads, g_tgt = call()
+        fit_loss, fit_grads, fit_tgt = call(traj_grad=False)
+        chan_loss, chan_grads, chan_tgt = call(param_grads=False)
+        assert fit_loss == loss == chan_loss
+        assert fit_tgt is None and chan_grads is None
+        assert np.any(g_tgt) and all(
+            np.any(grads[k]) for k in ("temporal_WQ", "temporal_WK", "temporal_WV")
+        )
+        assert set(fit_grads) == set(grads)
+        for k in grads:
+            assert np.array_equal(fit_grads[k], grads[k]), k
+        assert np.array_equal(chan_tgt, g_tgt)
+        assert call(param_grads=False, traj_grad=False) == (loss, None, None)
+
     def test_combined_loss_is_forward_of_loss_and_grad(self):
         student, align, union, bank, aligns, batches, cfg = self._setup(True)
         args = (student, align, union, bank, aligns, batches, cfg)
