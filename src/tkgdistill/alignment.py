@@ -110,28 +110,26 @@ def temporal_integrate_batch_bwd(
     """
     trajs, beta = cache["trajs"], cache["beta"]
     d = trajs.shape[-1]
+    grad_trajs = None
+
+    def take(name: str, g_proj: np.ndarray) -> None:
+        # one projection's share of both gradients, summed in Q, K, V order
+        nonlocal grad_trajs
+        if grads is not None:
+            grads[name] += np.tensordot(trajs, g_proj, axes=([0, 1], [0, 1]))
+        if traj_grad:
+            term = g_proj @ getattr(ap, name).T
+            grad_trajs = term if grad_trajs is None else np.add(
+                grad_trajs, term, out=grad_trajs
+            )
+
     g_scores = grad_out @ (trajs @ ap.temporal_WV).transpose(0, 2, 1)  # d beta
     softmax_rows_backward(beta, g_scores)
     g_scores /= np.sqrt(d)
-    grad_trajs = None
-    g_q = g_scores @ (trajs @ ap.temporal_WK)
-    if grads is not None:
-        grads["temporal_WQ"] += np.tensordot(trajs, g_q, axes=([0, 1], [0, 1]))
-    if traj_grad:
-        grad_trajs = g_q @ ap.temporal_WQ.T
-    del g_q
-    g_k = g_scores.transpose(0, 2, 1) @ (trajs @ ap.temporal_WQ)
+    take("temporal_WQ", g_scores @ (trajs @ ap.temporal_WK))
+    take("temporal_WK", g_scores.transpose(0, 2, 1) @ (trajs @ ap.temporal_WQ))
     del g_scores
-    if grads is not None:
-        grads["temporal_WK"] += np.tensordot(trajs, g_k, axes=([0, 1], [0, 1]))
-    if traj_grad:
-        grad_trajs += g_k @ ap.temporal_WK.T
-    del g_k
-    g_v = beta.transpose(0, 2, 1) @ grad_out
-    if grads is not None:
-        grads["temporal_WV"] += np.tensordot(trajs, g_v, axes=([0, 1], [0, 1]))
-    if traj_grad:
-        grad_trajs += g_v @ ap.temporal_WV.T
+    take("temporal_WV", beta.transpose(0, 2, 1) @ grad_out)
     return grad_trajs
 
 

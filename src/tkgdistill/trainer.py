@@ -349,11 +349,9 @@ def _alignment_terms(
         loss += w * term
         terms.append((w, cache))
     del h_tgt
-    align_grads = align.zero_grads() if param_grads else None
     if not (param_grads or traj_grad):
         return loss, None, None
-    if not terms:
-        return loss, align_grads, np.zeros_like(target_trajs) if traj_grad else None
+    align_grads = align.zero_grads() if param_grads else None
     g_u = None
     for w, cache in terms:
         part = alignment_loss_bwd(cache, align, align_grads, w)
