@@ -23,8 +23,8 @@ from scipy import sparse
 from .numerics import ParamDict, softmax_masked_rows, softmax_rows_backward
 from .tkg import TemporalKG
 
-# rows per neighbour gather in the backward: at b = 8, d = 128 a chunk of
-# gathered rows is 8.4 MB, however many rows a batch has
+# rows per neighbour gather in the backward: at b = 8, d = 128 a chunk's
+# (rows, b, d) block is 8.4 MB, however many rows a batch has
 _ROW_CHUNK = 1024
 
 
@@ -205,7 +205,6 @@ def encode_batch_bwd(
     g_hc = np.where(has_nb[:, None], 0.0, g_agg)  # fallback path
     g_agg = np.where(has_nb[:, None], g_agg, 0.0)
 
-    # the (rows, b, d) neighbour rows are gathered a chunk of rows at a time
     g_alpha = np.empty(nbr.shape)
     for lo in range(0, len(ids), _ROW_CHUNK):
         part = slice(lo, lo + _ROW_CHUNK)
