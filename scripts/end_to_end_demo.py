@@ -23,7 +23,6 @@ alignment_negatives = 12
 time_intervals = 4
 warmup_epochs_before_generation = 3
 pseudo_min_similarity = 0.85
-pseudo_replace_existing = false
 transfer_min_top1_prob = 2.0
 patience = 10
 """

@@ -141,11 +141,11 @@ def cmd_train(args) -> int:
         for row in state.log_rows:
             fh.write("\t".join(str(x) for x in row) + "\n")
     with open(out / "pseudo_audit.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("round\tsource\ttarget\tsimilarity\taction\n")
-        for rnd, src, tgt, sim, action in state.pseudo_audit:
+        fh.write("round\tsource\ttarget\tsimilarity\n")
+        for rnd, src, tgt, sim in state.pseudo_audit:
             fh.write(
                 f"{rnd}\t{source.entities.symbol(src)}\t"
-                f"{target.entities.symbol(tgt)}\t{sim:.6f}\t{action}\n"
+                f"{target.entities.symbol(tgt)}\t{sim:.6f}\n"
             )
     manifest = {
         "command": "train",

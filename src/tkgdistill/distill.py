@@ -5,7 +5,7 @@ from the source graph through the alignment map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -25,7 +25,6 @@ class PseudoGenConfig:
     top_k_budget: int  # most pairs one round may select
     min_similarity: float = 0.0
     exact_solver_cap: int = 64  # larger side of the largest exactly-solved block
-    replace_existing: bool = True
 
     def __post_init__(self):
         if self.top_k_budget <= 0:
@@ -36,23 +35,11 @@ class PseudoGenConfig:
 
 @dataclass
 class CandidateTable:
-    """Similarity block over candidate source rows and target columns.
-
-    ``existing_sim`` carries the mean similarity of current ground-truth
-    pairs whose target is a candidate, so replacement can be arbitrated.
-    """
+    """Similarity block over candidate source rows and target columns."""
 
     source_ids: np.ndarray
     target_ids: np.ndarray
     sim: np.ndarray  # (len(source_ids), len(target_ids))
-    existing_sim: dict[tuple[int, int], float] = field(default_factory=dict)
-
-
-@dataclass
-class PseudoGenResult:
-    added: list[AlignmentPair]
-    replaced: list[tuple[AlignmentPair, AlignmentPair]]  # (old gt, new pseudo)
-    audit: list[tuple[int, int, float, str]]  # (source, target, sim, action)
 
 
 @dataclass
@@ -98,19 +85,19 @@ def generate_pseudo_alignments(
     table: CandidateTable,
     cfg: PseudoGenConfig,
     existing: AlignmentSet,
-) -> PseudoGenResult:
+) -> list[AlignmentPair]:
     """Select pseudo pairs by one-to-one matching, throttled to the budget.
 
     Small candidate blocks are matched optimally with an exact assignment
     solver; blocks above ``exact_solver_cap`` fall back to greedy selection
     in descending similarity with (source id, target id) tie-breaking. The
-    chosen pairs are pruned to the budget and the similarity floor. A pair
-    whose target already carries a ground-truth alignment is kept only when
-    replacement is enabled and it beats the existing pair's similarity.
+    chosen pairs are pruned to the budget and the similarity floor. Pseudo
+    pairs only add: a match whose target already carries a ground-truth
+    alignment is dropped, and it still uses up its budget slot.
     """
     ns, nt = table.sim.shape
     if ns == 0 or nt == 0:
-        return PseudoGenResult([], [], [])
+        return []
     if not np.all(np.isfinite(table.sim)):
         raise ValueError("similarity table contains non-finite values")
 
@@ -131,29 +118,15 @@ def generate_pseudo_alignments(
     matches = matches[: cfg.top_k_budget]
     matches = [rc for rc in matches if table.sim[rc] >= cfg.min_similarity]
 
-    gt_by_target = {
-        p.target_entity: p for p in existing if p.provenance != PSEUDO
-    }
-    added: list[AlignmentPair] = []
-    replaced: list[tuple[AlignmentPair, AlignmentPair]] = []
-    audit: list[tuple[int, int, float, str]] = []
-    for r, c in matches:
-        src = int(table.source_ids[r])
-        tgt = int(table.target_ids[c])
-        sim = float(table.sim[r, c])
-        pair = AlignmentPair(src, tgt, PSEUDO, sim)
-        old = gt_by_target.get(tgt)
-        if old is None:
-            added.append(pair)
-            audit.append((src, tgt, sim, "add"))
-            continue
-        if not cfg.replace_existing:
-            continue
-        old_sim = table.existing_sim.get((old.source_entity, tgt), -np.inf)
-        if sim > old_sim:
-            replaced.append((old, pair))
-            audit.append((src, tgt, sim, "replace"))
-    return PseudoGenResult(added, replaced, audit)
+    gt_targets = {p.target_entity for p in existing if p.provenance != PSEUDO}
+    return [
+        AlignmentPair(
+            int(table.source_ids[r]), int(table.target_ids[c]), PSEUDO,
+            float(table.sim[r, c]),
+        )
+        for r, c in matches
+        if int(table.target_ids[c]) not in gt_targets
+    ]
 
 
 def candidate_targets(
@@ -161,8 +134,10 @@ def candidate_targets(
 ) -> list[int]:
     """Graph neighbors (either direction, t < horizon) of aligned targets.
 
-    Already-aligned entities stay in the pool, which is what lets a later
-    generation round replace a noisy ground-truth pair.
+    Already-aligned entities stay in the pool as columns of the matching: a
+    source the matching pairs with an aligned target is dropped with that
+    match by ``generate_pseudo_alignments``, rather than being pushed onto
+    a weaker unaligned target.
     """
     aligned = alignments.target_entities()
     out: set[int] = set()

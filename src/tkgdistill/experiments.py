@@ -44,7 +44,6 @@ DESK_TRAIN = TrainConfig(
     alignment_negatives=32,
     warmup_epochs_before_generation=6,
     pseudo_min_similarity=0.8,
-    pseudo_replace_existing=False,
     transfer_min_top1_prob=2.0,
     patience=24,
 )

@@ -16,21 +16,15 @@ from .encoder import NetworkParams, encode_many_bwd, encode_many_fwd
 from .numerics import ParamDict, add_rows_at
 from .tkg import Quadruple, TemporalKG
 
-OBJECT_ONLY = "object-only"
-BOTH_SIDES = "both-sides"
-
 
 @dataclass(frozen=True)
 class NegativeSamplerConfig:
     factor: int = 10
-    corrupt_mode: str = BOTH_SIDES
     seed: int = 0
 
     def __post_init__(self):
         if self.factor < 1:
             raise ValueError("negative sampling factor must be >= 1")
-        if self.corrupt_mode not in (OBJECT_ONLY, BOTH_SIDES):
-            raise ValueError(f"unknown corrupt_mode {self.corrupt_mode!r}")
 
 
 def translation_score(h_s: np.ndarray, h_r: np.ndarray, h_o: np.ndarray):
@@ -51,16 +45,14 @@ def score_quadruple(
     return float(translation_score(reps[0], params.relation_emb[q.relation], reps[1]))
 
 
-def _build_forms(
-    batch: list[Quadruple], params: NetworkParams, mode: str
-) -> np.ndarray:
-    """(F, 4) array of (subject, relation-row, object, time) scoring forms."""
+def _build_forms(batch: list[Quadruple], params: NetworkParams) -> np.ndarray:
+    """(2B, 4) array of (subject, relation-row, object, time) scoring forms:
+    each quadruple as stated, then through its reciprocal relation row."""
+    shift = params.n_relations
+    if params.relation_emb.shape[0] < 2 * shift:
+        raise ValueError("relation table has no reciprocal rows")
     rows = [(q.subject, q.relation, q.object, q.time) for q in batch]
-    if mode == BOTH_SIDES:
-        shift = params.n_relations
-        if params.relation_emb.shape[0] < 2 * shift:
-            raise ValueError("relation table has no reciprocal rows")
-        rows += [(q.object, q.relation + shift, q.subject, q.time) for q in batch]
+    rows += [(q.object, q.relation + shift, q.subject, q.time) for q in batch]
     return np.asarray(rows, dtype=np.int64)
 
 
@@ -122,14 +114,14 @@ def reasoning_loss_fwd(
 ) -> tuple[float, dict]:
     """Mean hinge over the batch and its sampled negatives.
 
-    Every quadruple contributes one form per direction (in both-sides mode);
-    each form draws ``factor`` negatives replacing the object slot.
+    Every quadruple contributes one form per direction; each form draws
+    ``factor`` negatives replacing the object slot.
     """
     if not batch:
         raise ValueError("empty batch")
     if margin <= 0:
         raise ValueError("margin must be positive")
-    forms = _build_forms(batch, params, neg_cfg.corrupt_mode)
+    forms = _build_forms(batch, params)
     negs, valid = _sample_negatives(
         forms[:, 2], params.n_entities, neg_cfg.factor, rng
     )

@@ -34,12 +34,7 @@ from .encoder import (
 )
 from .evaluation import EncodingCache, evaluate, score_object_queries
 from .numerics import AdamState, ParamDict, adam_step, unit_rows, unit_rows_backward
-from .scoring import (
-    BOTH_SIDES,
-    NegativeSamplerConfig,
-    reasoning_loss_bwd,
-    reasoning_loss_fwd,
-)
+from .scoring import NegativeSamplerConfig, reasoning_loss_bwd, reasoning_loss_fwd
 from .tkg import (
     GROUND_TRUTH,
     AlignmentPair,
@@ -112,7 +107,6 @@ class TrainConfig:
     pseudo_fraction_start: float = 0.10
     pseudo_fraction_end: float = 0.40
     pseudo_min_similarity: float = 0.0
-    pseudo_replace_existing: bool = True
     transfer_min_top1_prob: float = 0.0  # 0 disables the gate; > 1 rejects all
     patience: int = 5
     split_train_steps: int = 28
@@ -221,7 +215,7 @@ def pretrain_teacher(
         int(rng_for(cfg.seed, _RNG_INIT, 0).integers(2**31)), cfg.dropout,
     )
     state = AdamState.like(params.trainable())
-    neg = NegativeSamplerConfig(cfg.reasoning_negatives, BOTH_SIDES, cfg.seed)
+    neg = NegativeSamplerConfig(cfg.reasoning_negatives, cfg.seed)
     quads = list(source_kg.quadruples)
     for epoch in range(cfg.epochs):
         order = rng_for(cfg.seed, _RNG_SHUFFLE, _RNG_TEACHER, epoch).permutation(len(quads))
@@ -249,7 +243,6 @@ def init_student_from_teacher(
     teacher: NetworkParams,
     n_target_entities: int,
     n_target_relations: int,
-    cfg: TrainConfig,
     seed: int,
 ) -> NetworkParams:
     """Copy the shared blocks; target entity rows are freshly seeded.
@@ -380,7 +373,7 @@ def _reasoning_terms(
     """Weighted ground-truth + pseudo reasoning hinge, with grads (zero
     without ``with_grad``, which skips the backward pass)."""
     w_gt, w_ps = weights
-    neg = NegativeSamplerConfig(cfg.reasoning_negatives, BOTH_SIDES, cfg.seed)
+    neg = NegativeSamplerConfig(cfg.reasoning_negatives, cfg.seed)
     loss = 0.0
     grads = student.zero_grads()
     for batch, w in ((gt_batch, w_gt), (ps_batch, w_ps)):
@@ -568,7 +561,7 @@ def train_mpkd(
     teacher = teacher.copy()  # frozen; nothing below may touch the original
 
     student = init_student_from_teacher(
-        teacher, len(target_kg.entities), len(target_kg.relations), cfg,
+        teacher, len(target_kg.entities), len(target_kg.relations),
         int(rng_for(cfg.seed, _RNG_INIT, 1).integers(2**31)),
     )
     align = init_align_params(
@@ -795,29 +788,15 @@ def _generate_pseudo_round(
     if src_ids.size == 0:
         return tgt_trajs
     sim = _mean_sim_matrix(h_src[src_ids], h_tgt[cand_ids])
-    existing_sim = {}
-    cand_set = set(cands)
-    for p in gt_pairs:
-        if p.target_entity in cand_set:
-            existing_sim[(p.source_entity, p.target_entity)] = float(
-                _mean_sim_matrix(
-                    h_src[p.source_entity : p.source_entity + 1],
-                    h_tgt[p.target_entity : p.target_entity + 1],
-                )[0, 0]
-            )
     del h_src, h_tgt
-    table = CandidateTable(src_ids, cand_ids, sim, existing_sim)
     gen_cfg = PseudoGenConfig(
-        top_k_budget=budget,
-        min_similarity=cfg.pseudo_min_similarity,
-        replace_existing=cfg.pseudo_replace_existing,
+        top_k_budget=budget, min_similarity=cfg.pseudo_min_similarity
     )
-    result = generate_pseudo_alignments(table, gen_cfg, AlignmentSet(gt_pairs))
-    dropped = {id(old) for old, _ in result.replaced}
-    kept_gt = [p for p in gt_pairs if id(p) not in dropped]
-    new_pseudo = result.added + [new for _, new in result.replaced]
-    state.alignments = AlignmentSet(kept_gt + new_pseudo)
+    added = generate_pseudo_alignments(
+        CandidateTable(src_ids, cand_ids, sim), gen_cfg, AlignmentSet(gt_pairs)
+    )
+    state.alignments = AlignmentSet(gt_pairs + added)
     state.pseudo_audit.extend(
-        (epoch, src, tgt, sim_v, action) for src, tgt, sim_v, action in result.audit
+        (epoch, p.source_entity, p.target_entity, p.confidence) for p in added
     )
     return tgt_trajs

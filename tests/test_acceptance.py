@@ -175,14 +175,13 @@ def _combined_check(seed):
 
 def _reasoning_check(seed):
     from tkgdistill.scoring import (
-        BOTH_SIDES,
         NegativeSamplerConfig,
         reasoning_loss_bwd,
         reasoning_loss_fwd,
     )
 
     kg, student, _, _, _, batches, cfg = _grad_toy(seed)
-    neg = NegativeSamplerConfig(3, BOTH_SIDES, seed)
+    neg = NegativeSamplerConfig(3, seed)
 
     def lg(_):
         rng = np.random.default_rng(seed + 77)
@@ -270,7 +269,7 @@ def test_criterion_3_assignment_oracle():
                 AlignmentSet([]),
             )
             got = matching_total(
-                sim, [(p.source_entity, p.target_entity) for p in res.added]
+                sim, [(p.source_entity, p.target_entity) for p in res]
             )
             want = brute_force_best_matching(sim)
             assert got == want, f"trial {trial}: {got} != {want}"

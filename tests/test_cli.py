@@ -84,6 +84,8 @@ class TestTrain:
             "transferred_count",
         ]
         assert len(log) > 1
+        audit = (train_dir / "pseudo_audit.tsv").read_text().splitlines()
+        assert audit[0].split("\t") == ["round", "source", "target", "similarity"]
 
     def test_ablation_flag_yields_zero_pseudo(self, tmp_path, synth_dir):
         out = tmp_path / "pure"

@@ -27,11 +27,9 @@ from tkgdistill.tkg import (
 )
 
 
-def table_from(sim, existing_sim=None):
+def table_from(sim):
     sim = np.asarray(sim, dtype=np.float64)
-    return CandidateTable(
-        np.arange(sim.shape[0]), np.arange(sim.shape[1]), sim, existing_sim or {}
-    )
+    return CandidateTable(np.arange(sim.shape[0]), np.arange(sim.shape[1]), sim)
 
 
 class TestMeanSimilarity:
@@ -57,18 +55,18 @@ class TestPseudoGeneration:
         res = generate_pseudo_alignments(
             table_from([[0.9]]), PseudoGenConfig(top_k_budget=5), AlignmentSet([])
         )
-        assert len(res.added) == 1
-        assert res.added[0].confidence == pytest.approx(0.9)
-        assert res.added[0].provenance == "pseudo"
+        assert len(res) == 1
+        assert res[0].confidence == pytest.approx(0.9)
+        assert res[0].provenance == "pseudo"
 
     def test_diagonal_matching_on_three_by_three(self):
         sim = [[0.9, 0.1, 0.2], [0.2, 0.8, 0.1], [0.3, 0.2, 0.7]]
         res = generate_pseudo_alignments(
             table_from(sim), PseudoGenConfig(top_k_budget=5), AlignmentSet([])
         )
-        chosen = {(p.source_entity, p.target_entity) for p in res.added}
+        chosen = {(p.source_entity, p.target_entity) for p in res}
         assert chosen == {(0, 0), (1, 1), (2, 2)}
-        total = sum(p.confidence for p in res.added)
+        total = sum(p.confidence for p in res)
         assert total == pytest.approx(2.4)
         assert brute_force_best_matching(np.asarray(sim)) == pytest.approx(2.4)
 
@@ -77,14 +75,14 @@ class TestPseudoGeneration:
         res = generate_pseudo_alignments(
             table_from(sim), PseudoGenConfig(top_k_budget=5), AlignmentSet([])
         )
-        assert [(p.source_entity, p.target_entity) for p in res.added] == [(0, 0)]
+        assert [(p.source_entity, p.target_entity) for p in res] == [(0, 0)]
 
     def test_empty_candidates_empty_delta(self):
         res = generate_pseudo_alignments(
             table_from(np.zeros((0, 0))), PseudoGenConfig(top_k_budget=3),
             AlignmentSet([]),
         )
-        assert res.added == [] and res.replaced == []
+        assert res == []
 
     def test_partial_matching_invariant(self):
         rng = np.random.default_rng(0)
@@ -92,8 +90,8 @@ class TestPseudoGeneration:
         res = generate_pseudo_alignments(
             table_from(sim), PseudoGenConfig(top_k_budget=10), AlignmentSet([])
         )
-        sources = [p.source_entity for p in res.added]
-        targets = [p.target_entity for p in res.added]
+        sources = [p.source_entity for p in res]
+        targets = [p.target_entity for p in res]
         assert len(sources) == len(set(sources))
         assert len(targets) == len(set(targets))
 
@@ -108,7 +106,7 @@ class TestPseudoGeneration:
             AlignmentSet([]),
         )
         got = matching_total(
-            sim, [(int(p.source_entity), int(p.target_entity)) for p in res.added]
+            sim, [(int(p.source_entity), int(p.target_entity)) for p in res]
         )
         assert got == brute_force_best_matching(sim)
 
@@ -117,10 +115,10 @@ class TestPseudoGeneration:
         sim = rng.uniform(0, 1, size=(8, 8))
         chosen_small = generate_pseudo_alignments(
             table_from(sim), PseudoGenConfig(top_k_budget=3), AlignmentSet([])
-        ).added
+        )
         chosen_large = generate_pseudo_alignments(
             table_from(sim), PseudoGenConfig(top_k_budget=6), AlignmentSet([])
-        ).added
+        )
         small = {(p.source_entity, p.target_entity) for p in chosen_small}
         large = {(p.source_entity, p.target_entity) for p in chosen_large}
         assert small <= large
@@ -132,28 +130,18 @@ class TestPseudoGeneration:
             PseudoGenConfig(top_k_budget=5, min_similarity=0.5),
             AlignmentSet([]),
         )
-        assert [(p.source_entity, p.target_entity) for p in res.added] == [(0, 0)]
+        assert [(p.source_entity, p.target_entity) for p in res] == [(0, 0)]
 
-    def test_replacement_requires_dominance(self):
+    def test_match_on_aligned_target_dropped_after_budget(self):
+        # target 0 already has a ground-truth partner: the best match (0, 0)
+        # is dropped, yet it still takes the first of the two budget slots,
+        # so only (1, 1) is added and (2, 2) falls outside the budget
         existing = AlignmentSet([AlignmentPair(9, 0, "ground-truth", 1.0)])
-        table = table_from([[0.8]], existing_sim={(9, 0): 0.9})
-        cfg = PseudoGenConfig(top_k_budget=5, replace_existing=True)
-        res = generate_pseudo_alignments(table, cfg, existing)
-        assert res.added == [] and res.replaced == []
-        table = table_from([[0.95]], existing_sim={(9, 0): 0.9})
-        res = generate_pseudo_alignments(table, cfg, existing)
-        assert len(res.replaced) == 1
-        old, new = res.replaced[0]
-        assert old.source_entity == 9 and new.source_entity == 0
-        assert res.audit[0][3] == "replace"
-
-    def test_no_replacement_when_disabled(self):
-        existing = AlignmentSet([AlignmentPair(9, 0, "ground-truth", 1.0)])
-        table = table_from([[0.95]], existing_sim={(9, 0): 0.1})
+        sim = [[0.95, 0.0, 0.0], [0.0, 0.9, 0.0], [0.0, 0.0, 0.8]]
         res = generate_pseudo_alignments(
-            table, PseudoGenConfig(top_k_budget=5, replace_existing=False), existing
+            table_from(sim), PseudoGenConfig(top_k_budget=2), existing
         )
-        assert res.added == [] and res.replaced == []
+        assert [(p.source_entity, p.target_entity) for p in res] == [(1, 1)]
 
     def test_greedy_path_above_cap_deterministic_ties(self):
         sim = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -163,7 +151,7 @@ class TestPseudoGeneration:
             AlignmentSet([]),
         )
         # ties break by (source id, target id): (0,0) first, then (1,1)
-        assert [(p.source_entity, p.target_entity) for p in res.added] == [
+        assert [(p.source_entity, p.target_entity) for p in res] == [
             (0, 0), (1, 1),
         ]
 

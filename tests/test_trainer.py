@@ -1,4 +1,6 @@
+import importlib.util
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from tkgdistill import trainer as trainer_module
 from tkgdistill.distill import transfer_events
 from tkgdistill.encoder import encode_trajectories_fwd, init_network_params
 from tkgdistill.tkg import (
+    GROUND_TRUTH,
     AlignmentPair,
     AlignmentSet,
     GeneratorConfig,
@@ -116,6 +119,17 @@ class TestTrainConfig:
         path.write_text(f"seed = 3\n{name} = {value}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: {name} must be")):
             parse_config_file(path)
+
+    def test_demo_config_parses(self, tmp_path):
+        # the demo's config must name only live TrainConfig keys
+        script = Path(__file__).resolve().parents[1] / "scripts" / "end_to_end_demo.py"
+        spec = importlib.util.spec_from_file_location("end_to_end_demo", script)
+        demo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(demo)
+        path = tmp_path / "demo.ini"
+        path.write_text(demo.CONFIG)
+        cfg = parse_config_file(path)
+        assert cfg.dim == 24 and cfg.pseudo_min_similarity == 0.85
 
     def test_range_edges_accepted(self):
         TrainConfig(epochs=0, warmup_epochs_before_generation=0, patience=0,
@@ -230,7 +244,7 @@ class TestInitStudent:
         pair = tiny_pair()
         cfg = tiny_cfg()
         teacher = pretrain_teacher(pair.source, cfg)
-        student = init_student_from_teacher(teacher, 10, 3, cfg, seed=5)
+        student = init_student_from_teacher(teacher, 10, 3, seed=5)
         assert np.array_equal(student.relation_emb, teacher.relation_emb)
         assert np.array_equal(student.transform_W, teacher.transform_W)
         assert np.array_equal(student.attn_a, teacher.attn_a)
@@ -240,8 +254,8 @@ class TestInitStudent:
         pair = tiny_pair()
         cfg = tiny_cfg()
         teacher = pretrain_teacher(pair.source, cfg)
-        a = init_student_from_teacher(teacher, 10, 3, cfg, seed=1)
-        b = init_student_from_teacher(teacher, 10, 3, cfg, seed=2)
+        a = init_student_from_teacher(teacher, 10, 3, seed=1)
+        b = init_student_from_teacher(teacher, 10, 3, seed=2)
         assert not np.array_equal(a.entity_emb, b.entity_emb)
         assert np.array_equal(a.transform_W, b.transform_W)
 
@@ -250,7 +264,7 @@ class TestInitStudent:
         cfg = tiny_cfg()
         teacher = pretrain_teacher(pair.source, cfg)
         with pytest.raises(ValueError, match="relation"):
-            init_student_from_teacher(teacher, 10, 4, cfg, seed=1)
+            init_student_from_teacher(teacher, 10, 4, seed=1)
 
 
 class TestCombinedLoss:
@@ -258,7 +272,7 @@ class TestCombinedLoss:
         pair = tiny_pair()
         cfg = tiny_cfg()
         teacher = pretrain_teacher(pair.source, cfg)
-        student = init_student_from_teacher(teacher, 10, 3, cfg, seed=3)
+        student = init_student_from_teacher(teacher, 10, 3, seed=3)
         from tkgdistill.alignment import init_align_params
 
         align = init_align_params(cfg.dim, 9)
@@ -411,6 +425,22 @@ class TestTrainLoop:
         state = train_mpkd(pair.source, pair.target_incomplete, pair.alignments, cfg)
         rounds = [r.round_index for r in state.transferred]
         assert rounds == sorted(rounds)
+
+    def test_pseudo_round_keeps_every_ground_truth_pair(self):
+        # paper defaults at coverage 0.3: the one pseudo round's matches land
+        # on aligned targets often, and none of them may displace a seed pair
+        pair = generate_synthetic_pair(GeneratorConfig(coverage=0.3), 0)
+        cfg = TrainConfig(epochs=1, warmup_epochs_before_generation=0)
+        _, state = experiments.run_transfer(pair, cfg)
+        kept = {
+            (p.source_entity, p.target_entity)
+            for p in state.alignments
+            if p.provenance == GROUND_TRUTH
+        }
+        seeds = {(p.source_entity, p.target_entity) for p in pair.alignments}
+        assert len(seeds) == 60
+        assert seeds <= kept
+        assert len(state.pseudo_audit) > 0
 
     def test_empty_alignments_need_pure_mode(self):
         pair = tiny_pair()
