@@ -143,6 +143,17 @@ class TestPseudoGeneration:
         )
         assert [(p.source_entity, p.target_entity) for p in res] == [(1, 1)]
 
+    def test_no_replacement_when_disabled(self):
+        # replacing a ground-truth pair is off for good: even a match that
+        # scores 0.95 on an aligned target adds nothing and leaves the pair
+        existing = AlignmentSet([AlignmentPair(9, 0, "ground-truth", 1.0)])
+        res = generate_pseudo_alignments(
+            table_from([[0.95]]), PseudoGenConfig(top_k_budget=5), existing
+        )
+        assert res == []
+        assert [(p.source_entity, p.target_entity, p.provenance)
+                for p in existing] == [(9, 0, "ground-truth")]
+
     def test_greedy_path_above_cap_deterministic_ties(self):
         sim = np.array([[0.5, 0.5], [0.5, 0.5]])
         res = generate_pseudo_alignments(
