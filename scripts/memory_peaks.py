@@ -8,11 +8,14 @@ calls: teacher pretraining, the alignment fit and the distillation channel
 for the target-trajectory gradient only), ``_reasoning_terms`` (student
 batches), the all-target trajectory encodes (forward and backward), the
 pseudo round, event transfer and validation, then the peak of the whole
-run and the run's minor page faults (``ru_minflt``). A phase's peak is the
-largest traced size while it runs, memory held by its caller included, so
-the phase holding the run's peak reads the run's peak. A phase that never
-ran reads ``-``. The last line is the process's ``ru_maxrss``: the largest
-resident set of all runs together, inflated by tracemalloc's own records.
+run. A phase's peak is the largest traced size while it runs, memory held
+by its caller included, so the phase holding the run's peak reads the
+run's peak. Next to each peak, in brackets, are the minor page faults
+(``ru_minflt``) taken during all of the phase's calls, nested calls
+included, as the peaks are; the run's own count ends the line, so a fault
+storm shows where it lands. A phase that never ran reads ``-``. The last
+line is the process's ``ru_maxrss``: the largest resident set of all runs
+together, inflated by tracemalloc's own records.
 
     python3 scripts/memory_peaks.py --seeds 0 1
 """
@@ -62,15 +65,21 @@ LABELS = ("teacher", "alignment_fit", "distill_channel") + tuple(
 )
 
 
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 class PeakTracker:
-    """Per-label traced peaks of nested calls.
+    """Per-label traced peaks and minor page faults of nested calls.
 
     ``tracemalloc`` keeps one peak, so each call resets it on entry and on
     exit; the peak an enclosing call would have seen is carried on a stack.
+    A label's faults sum over its calls.
     """
 
     def __init__(self):
         self.peaks: dict[str, int] = {}
+        self.faults: dict[str, int] = {}
         self._stack = [0]
 
     def wrap(self, label, fn):
@@ -79,9 +88,12 @@ class PeakTracker:
             self._stack[-1] = max(self._stack[-1], tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             self._stack.append(0)
+            faults = _minflt()
             try:
                 return fn(*args, **kwargs)
             finally:
+                faults = _minflt() - faults
+                self.faults[name] = self.faults.get(name, 0) + faults
                 peak = max(self._stack.pop(), tracemalloc.get_traced_memory()[1])
                 self.peaks[name] = max(self.peaks.get(name, 0), peak)
                 self._stack[-1] = max(self._stack[-1], peak)
@@ -93,9 +105,9 @@ class PeakTracker:
         return max(self._stack[0], tracemalloc.get_traced_memory()[1])
 
 
-def traced_run(gen, cfg, seed: int) -> tuple[dict[str, int], int, int]:
-    """Phase peaks, whole-run peak (bytes) and minor page faults of one
-    ``run_transfer``."""
+def traced_run(gen, cfg, seed: int) -> tuple[PeakTracker, int, int]:
+    """The phase tracker, whole-run peak (bytes) and minor page faults of
+    one ``run_transfer``."""
     pair = generate_synthetic_pair(gen, seed)
     tracker = PeakTracker()
     originals = [(module, name, getattr(module, name)) for _, module, name in PHASES]
@@ -103,10 +115,10 @@ def traced_run(gen, cfg, seed: int) -> tuple[dict[str, int], int, int]:
         setattr(module, name, tracker.wrap(label, getattr(module, name)))
     tracemalloc.start()
     try:
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        faults = _minflt()
         experiments.run_transfer(pair, replace(cfg, seed=seed), experiments.TeacherBank())
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        return tracker.peaks, tracker.total(), faults
+        faults = _minflt() - faults
+        return tracker, tracker.total(), faults
     finally:
         tracemalloc.stop()
         for module, name, fn in originals:
@@ -119,9 +131,10 @@ def main() -> int:
     args = parser.parse_args()
     for config, (gen, cfg) in CONFIGS.items():
         for seed in args.seeds:
-            peaks, total, faults = traced_run(gen, cfg, seed)
+            tracker, total, faults = traced_run(gen, cfg, seed)
             cells = ", ".join(
-                f"{label} {peaks[label] / MB:.1f}" if label in peaks else f"{label} -"
+                f"{label} {tracker.peaks[label] / MB:.1f} ({tracker.faults[label]})"
+                if label in tracker.peaks else f"{label} -"
                 for label in LABELS
             )
             print(f"{config} seed {seed} peak MB: {cells}, run {total / MB:.1f}; "

@@ -94,6 +94,10 @@ def temporal_integrate_batch_fwd(
     return out, {"trajs": trajs, "beta": beta}
 
 
+# rows per chunk of a trajectory-only integration backward
+_BWD_ROWS = 256
+
+
 def temporal_integrate_batch_bwd(
     grad_out: np.ndarray,
     cache: dict,
@@ -106,9 +110,19 @@ def temporal_integrate_batch_bwd(
 
     A caller that keeps only one of the two skips the other's products. v,
     k and q are recomputed from ``trajs`` one at a time: the parameters do
-    not change between a forward and its backward.
+    not change between a forward and its backward. Rows are independent, so
+    the trajectory gradient alone runs over chunks of ``_BWD_ROWS`` rows;
+    the parameter tensordots sum over all rows and are never chunked.
     """
     trajs, beta = cache["trajs"], cache["beta"]
+    if grads is None and traj_grad and len(trajs) > _BWD_ROWS:
+        out = np.empty_like(trajs)
+        for lo in range(0, len(trajs), _BWD_ROWS):
+            part = slice(lo, lo + _BWD_ROWS)
+            out[part] = temporal_integrate_batch_bwd(
+                grad_out[part], {"trajs": trajs[part], "beta": beta[part]}, ap
+            )
+        return out
     d = trajs.shape[-1]
     grad_trajs = None
 

@@ -23,11 +23,6 @@ from scipy import sparse
 from .numerics import ParamDict, softmax_masked_rows, softmax_rows_backward
 from .tkg import TemporalKG
 
-# rows per neighbour gather in the backward: at b = 8, d = 128 a chunk's
-# (rows, b, d) block is 8.4 MB, however many rows a batch has
-_ROW_CHUNK = 1024
-
-
 @dataclass
 class NetworkParams:
     """All trainable arrays of one encoder.
@@ -124,6 +119,14 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _row_slices(n: int, b: int) -> list[slice]:
+    """Slices of ``ceil(n / b)`` rows, at least 256, over ``n`` rows: a
+    slice's (rows, b, d) neighbor gather holds no more values than an
+    (n, d) array once n >= 256 * b, and small batches take one slice."""
+    step = max(-(-n // b), 256)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
 def encode_batch_fwd(
     params: NetworkParams,
     kg: TemporalKG,
@@ -161,21 +164,27 @@ def encode_batch_fwd(
     alpha = softmax_masked_rows(logits, mask)  # no-history rows come back zero
 
     # Padded slots hold entity 0 but get exactly zero attention weight, so
-    # they add nothing to ``agg`` or to any gradient; the (n, b, d) neighbor
-    # block stays unmasked and is freed as soon as ``agg`` exists.
-    agg = (alpha[:, None, :] @ params.entity_emb[nbr])[:, 0]
-    agg = np.where(has_nb[:, None], agg, h_c)  # fallback aggregates the raw row
+    # they add nothing to ``agg`` or to any gradient. Each slice of rows
+    # gathers its own neighbor rows and runs the same per-row matmul.
+    agg = np.empty_like(h_c)
+    for part in _row_slices(len(ids), b):
+        np.matmul(
+            alpha[part, None, :], params.entity_emb[nbr[part]],
+            out=agg[part, None, :],
+        )
+    np.copyto(agg, h_c, where=~has_nb[:, None])  # fallback aggregates the raw row
     msg = agg @ params.transform_W
     if dropout_rng is not None and params.dropout_rate > 0.0:
         dmask = dropout_mask(msg.shape, params.dropout_rate, dropout_rng)
-        msg = msg * dmask
+        msg *= dmask
     else:
         dmask = None
-    out = np.maximum(msg, 0.0)
+    live = msg > 0.0
+    out = np.maximum(msg, 0.0, out=msg)
     cache = {
         "ids": ids, "nbr": nbr, "rel": rel, "tim": tim, "mask": mask,
         "delta": delta, "kappa_tab": kappa_tab, "has_nb": has_nb,
-        "alpha": alpha, "agg": agg, "live": msg > 0.0, "dmask": dmask,
+        "alpha": alpha, "agg": agg, "live": live, "dmask": dmask,
     }
     return out, cache
 
@@ -196,19 +205,28 @@ def encode_batch_bwd(
     ids, nbr, mask, has_nb = cache["ids"], cache["nbr"], cache["mask"], cache["has_nb"]
     alpha, agg, kappa_tab = cache["alpha"], cache["agg"], cache["kappa_tab"]
 
+    n = len(ids)
     g_msg = grad_out * cache["live"]
     if cache["dmask"] is not None:
-        g_msg = g_msg * cache["dmask"]
+        g_msg *= cache["dmask"]
     grads["transform_W"] += agg.T @ g_msg
-    g_agg = g_msg @ params.transform_W.T
-
-    g_hc = np.where(has_nb[:, None], 0.0, g_agg)  # fallback path
-    g_agg = np.where(has_nb[:, None], g_agg, 0.0)
+    # the centre rows' and the aggregates' gradients share one block, which
+    # the message product below reads whole
+    g_both = np.empty((2 * n, agg.shape[1]))
+    g_hc, g_agg = g_both[:n], g_both[n:]
+    np.matmul(g_msg, params.transform_W.T, out=g_agg)
+    del g_msg
+    fallback = ~has_nb
+    g_hc.fill(0.0)
+    g_hc[fallback] = g_agg[fallback]  # fallback path
+    g_agg[fallback] = 0.0
 
     g_alpha = np.empty(nbr.shape)
-    for lo in range(0, len(ids), _ROW_CHUNK):
-        part = slice(lo, lo + _ROW_CHUNK)
-        g_alpha[part] = (params.entity_emb[nbr[part]] @ g_agg[part, :, None])[..., 0]
+    for part in _row_slices(n, nbr.shape[1]):
+        np.matmul(
+            params.entity_emb[nbr[part]], g_agg[part, :, None],
+            out=g_alpha[part, :, None],
+        )
     # zero on padded slots, where alpha is zero
     g_logits = softmax_rows_backward(alpha, g_alpha)
 
@@ -236,7 +254,6 @@ def encode_batch_bwd(
     # slot], so its sum adds the same products in the same order as a
     # scatter of those rows would, and no (slots, d) block is built.
     rows, slots = np.nonzero(mask)
-    n = len(ids)
     ent = np.concatenate([ids, nbr[rows, slots]])
     order = np.argsort(ent, kind="stable")
     indptr = np.zeros(params.n_entities + 1, dtype=np.int64)
@@ -249,7 +266,7 @@ def encode_batch_bwd(
         ),
         shape=(params.n_entities, 2 * n),
     )
-    grads["entity_emb"] += messages @ np.concatenate([g_hc, g_agg])
+    grads["entity_emb"] += messages @ g_both
 
 
 def encode_entity(

@@ -1,5 +1,5 @@
 """Dense numerical core: masked softmax, row scatters, cosine, Adam,
-finite-difference checks.
+finite-difference checks, and the process's malloc thresholds.
 
 All arithmetic is float64. Parameter collections are plain ``dict[str, np.ndarray]``
 so the optimizer and the gradient checker stay agnostic of model structure.
@@ -7,11 +7,35 @@ so the optimizer and the gradient checker stay agnostic of model structure.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
 
 ParamDict = dict[str, np.ndarray]
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    glibc maps every block above its mmap threshold (128 KiB at start) and
+    raises that threshold, with the trim threshold at twice it, only when a
+    mapped block larger than it is freed. A training step whose largest
+    temporaries are a few MB would leave the thresholds low: those
+    temporaries are mapped anew and the heap top is trimmed on every call,
+    and each first touch of their pages faults. 32 MiB is glibc's cap on the
+    dynamic threshold and 64 MiB the trim threshold its rule pairs with it.
+    Where libc has no ``mallopt``, nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 * 2**20)  # M_TRIM_THRESHOLD
+
+
+_pin_malloc_thresholds()
 
 
 def softmax_masked(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:

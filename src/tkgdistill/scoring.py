@@ -132,10 +132,13 @@ def reasoning_loss_fwd(
     h_s = reps[subj_rows]
     h_o = reps[obj_rows]
     h_rel = params.relation_emb[forms[:, 1]]
-    h_n = reps[neg_rows]
 
     f_pos = translation_score(h_s, h_rel, h_o)  # (F,)
-    f_neg = translation_score(h_s[:, None], h_rel[:, None], h_n)  # (F, N)
+    # the negatives' residuals fill one (F, N, d) buffer, squared in place
+    u_neg = reps[neg_rows]
+    np.subtract((h_s + h_rel)[:, None], u_neg, out=u_neg)
+    f_neg = -np.square(u_neg, out=u_neg).sum(axis=-1)  # (F, N)
+    del u_neg
 
     hinge = np.maximum(0.0, margin - f_pos[:, None] + f_neg) * valid
     kept = max(int(valid.sum()), 1)
@@ -144,7 +147,7 @@ def reasoning_loss_fwd(
         "forms": forms, "negs": negs, "valid": valid, "kept": kept,
         "reps": reps, "enc_cache": enc_cache,
         "subj_rows": subj_rows, "obj_rows": obj_rows, "neg_rows": neg_rows,
-        "h_s": h_s, "h_o": h_o, "h_rel": h_rel, "h_n": h_n,
+        "h_s": h_s, "h_o": h_o, "h_rel": h_rel,
         "hinge": hinge, "margin": margin, "n_pairs": len(pairs),
     }
     return loss, cache
@@ -153,35 +156,43 @@ def reasoning_loss_fwd(
 def reasoning_loss_bwd(
     cache: dict, params: NetworkParams, grads: ParamDict
 ) -> None:
-    forms, valid = cache["forms"], cache["valid"]
-    h_s, h_o, h_rel, h_n = cache["h_s"], cache["h_o"], cache["h_rel"], cache["h_n"]
+    forms, valid, reps = cache["forms"], cache["valid"], cache["reps"]
+    h_s, h_o, h_rel = cache["h_s"], cache["h_o"], cache["h_rel"]
     active = (cache["hinge"] > 0.0) & valid
     w = active / cache["kept"]  # (F, N)
+    n_forms, n_negs = w.shape
 
     # d loss / d f_pos = -sum_n w, d loss / d f_neg = +w; f = -|u|^2 with
     # u = h_s + h_r - h_obj, so df/d(h_s, h_r) = -2u and df/d(h_obj) = +2u.
+    # The subject, object and negative rows' gradients fill one block for
+    # the row scatter. Its negative rows take the gathered residuals u_neg
+    # again and become g_hn = 2w u_neg in place; the subject's and the
+    # relation's share, -2w u_neg summed over negatives, is -sum(g_hn).
     u_pos = h_s + h_rel - h_o
-    u_neg = h_s[:, None] + h_rel[:, None] - h_n
     g_fpos = -w.sum(axis=1)
-    g_fneg = w
-
-    g_hs = (-2.0 * g_fpos)[:, None] * u_pos
-    g_ho = (2.0 * g_fpos)[:, None] * u_pos
+    g_rows = np.empty((n_forms * (n_negs + 2), reps.shape[1]))
+    g_hs, g_ho = g_rows[:n_forms], g_rows[n_forms:2 * n_forms]
+    g_hn = g_rows[2 * n_forms:].reshape(n_forms, n_negs, -1)
+    np.multiply((-2.0 * g_fpos)[:, None], u_pos, out=g_hs)
+    np.multiply((2.0 * g_fpos)[:, None], u_pos, out=g_ho)
     g_rel = g_hs.copy()
-    g_hn = (2.0 * g_fneg)[..., None] * u_neg
-    contrib = (-2.0 * g_fneg)[..., None] * u_neg
-    g_hs += contrib.sum(axis=1)
-    g_rel += contrib.sum(axis=1)
+    np.take(reps, cache["neg_rows"], axis=0, out=g_hn)
+    np.subtract((h_s + h_rel)[:, None], g_hn, out=g_hn)
+    g_hn *= (2.0 * w)[..., None]
+    contrib = -g_hn.sum(axis=1)
+    g_hs += contrib
+    g_rel += contrib
 
-    grad_reps = np.zeros_like(cache["reps"])
+    grad_reps = np.zeros_like(reps)
     add_rows_at(
         grad_reps,
         np.concatenate(
             [cache["subj_rows"], cache["obj_rows"], cache["neg_rows"].reshape(-1)]
         ),
-        np.concatenate([g_hs, g_ho, g_hn.reshape(-1, g_hn.shape[-1])]),
+        g_rows,
     )
     add_rows_at(grads["relation_emb"], forms[:, 1], g_rel)
+    del g_rows, g_hs, g_ho, g_hn  # freed before the encoder's backward
     encode_many_bwd(grad_reps, cache["enc_cache"], params, grads)
 
 

@@ -13,8 +13,10 @@ from alignment_reference import (
     temporal_integrate,
 )
 from tkgdistill.alignment import (
+    _BWD_ROWS,
     init_align_params,
     strength_diagonal,
+    temporal_integrate_batch_bwd,
     temporal_integrate_batch_fwd,
 )
 from tkgdistill.numerics import grad_check, softmax_masked
@@ -86,6 +88,18 @@ class TestTemporalIntegrate:
         for i in range(5):
             for j in range(i + 1, 5):
                 assert (beta[:, i, j] == 0).all()
+
+    def test_trajectory_only_backward_in_chunks_is_bitwise(self):
+        # more rows than two chunks, the last one short; the full-batch
+        # path runs whenever parameter gradients are asked for too
+        ap = init_align_params(8, seed=2)
+        rng = np.random.default_rng(3)
+        trajs = rng.normal(size=(2 * _BWD_ROWS + 37, 6, 8))
+        _, cache = temporal_integrate_batch_fwd(ap, trajs)
+        grad_out = rng.normal(size=trajs.shape)
+        chunked = temporal_integrate_batch_bwd(grad_out, cache, ap)
+        whole = temporal_integrate_batch_bwd(grad_out, cache, ap, ap.zero_grads())
+        assert np.array_equal(chunked, whole)
 
 
 class TestCorrespondence:

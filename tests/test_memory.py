@@ -1,9 +1,12 @@
-"""Memory held by the encoder's and the alignment step's caches and by
-whole training runs.
+"""Memory held by the encoder's and the alignment step's caches, by one
+reasoning step and by whole training runs, and the page faults of repeated
+steps.
 
 The encoder's backward gathers embedding rows again instead of keeping the
 forward's copies, so a cache holds index arrays, attention weights, the
-aggregate and a ReLU mask: nothing with b * d values per row. The alignment
+aggregate and a ReLU mask: nothing with b * d values per row. Both
+directions gather neighbour rows one row slice at a time, and the reasoning
+loss scores its negatives in one buffer it does not keep. The alignment
 loss scores one time step at a time, so no (T, P, n_targets) block is built,
 and temporal integration caches only its input and attention weights. An
 alignment step integrates the targets once and runs only the backward its
@@ -11,15 +14,23 @@ caller keeps.
 """
 
 import functools
+import platform
+import resource
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from alignment_reference import alignment_step
 from tkgdistill import experiments
 from tkgdistill.alignment import init_align_params, temporal_integrate_batch_fwd
 from tkgdistill.encoder import encode_trajectories_fwd, init_network_params
+from tkgdistill.scoring import (
+    NegativeSamplerConfig,
+    reasoning_loss_bwd,
+    reasoning_loss_fwd,
+)
 from tkgdistill.tkg import GeneratorConfig, generate_synthetic_pair
 from tkgdistill.trainer import TrainConfig
 
@@ -86,9 +97,18 @@ def _run_peak(config: str) -> int:
 
 def test_paper_dims_run_peak_is_bounded():
     """The traced peak of one paper_dims ``run_transfer`` (1 epoch); it sits
-    in teacher pretraining, not in kept encoder or alignment caches."""
+    in the distillation channel, not in kept encoder or alignment caches,
+    and teacher pretraining stays below it."""
     peak = _run_peak("paper_dims")
     assert peak < 150 * MB, peak / MB
+
+
+def test_paper_dims_run_peak_with_sliced_reasoning_steps():
+    """A reasoning step builds no (rows, b, d) neighbour block and keeps no
+    (F, N, d) negatives, so teacher pretraining no longer holds the run's
+    peak; it did at 66 MiB."""
+    peak = _run_peak("paper_dims")
+    assert peak < 60 * MB, peak / MB
 
 
 def test_paper_dims_run_peak_without_gathered_message_blocks():
@@ -136,6 +156,13 @@ def test_scale5x_run_peak_is_bounded():
     assert peak < 130 * MB, peak / MB
 
 
+def test_scale5x_run_peak_with_chunked_channel_backward():
+    """The distillation channel's trajectory-only integration backward runs
+    over 256-row chunks; it held the peak at 70 MiB over all 1,000 rows."""
+    peak = _run_peak("scale5x")
+    assert peak < 64 * MB, peak / MB
+
+
 def test_scale5x_run_peak_with_one_target_integration():
     """The alignment step integrates the targets once, frees them and their
     unit rows before that integration's backward, and runs only the
@@ -143,3 +170,55 @@ def test_scale5x_run_peak_with_one_target_integration():
     ran the whole backward."""
     peak = _run_peak("scale5x")
     assert peak < 80 * MB, peak / MB
+
+
+@functools.cache
+def _teacher_step_setup():
+    """The paper_dims teacher's set-up (d = 128, b = 8, 10 negatives,
+    dropout 0.5) and one shuffled batch of 256 source events."""
+    cfg = TrainConfig()
+    kg = generate_synthetic_pair(GeneratorConfig(coverage=0.3), 0).source
+    params = init_network_params(
+        len(kg.entities), len(kg.relations), cfg.dim, seed=1, dropout_rate=cfg.dropout
+    )
+    quads = list(kg.quadruples)
+    order = np.random.default_rng(2).permutation(len(quads))[: cfg.batch_size]
+    return cfg, kg, params, [quads[i] for i in order]
+
+
+def _teacher_step(seed: int = 0) -> dict:
+    cfg, kg, params, batch = _teacher_step_setup()
+    _, cache = reasoning_loss_fwd(
+        params, kg, batch, NegativeSamplerConfig(cfg.reasoning_negatives),
+        cfg.margin_reasoning, np.random.default_rng(seed), cfg.neighbors,
+        np.random.default_rng(seed + 1),
+    )
+    grads = params.zero_grads()
+    reasoning_loss_bwd(cache, params, grads)
+    return cache
+
+
+def test_paper_dims_teacher_step_peak():
+    """One teacher step, forward and backward, above the forward's start:
+    about 3,900 encoded rows, whose whole (rows, b, d) neighbour block and
+    kept (F, N, d) negatives took it to 65 MiB."""
+    _teacher_step_setup()
+    peak = _traced_peak(_teacher_step)
+    assert peak < 48 * MB, peak / MB
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_repeated_teacher_steps_reuse_heap_pages():
+    """With the malloc thresholds pinned at import, a step's temporaries
+    reuse heap pages that earlier steps touched instead of being mapped,
+    unmapped or trimmed anew. After a warm-up the median step takes almost
+    no minor faults; unpinned, every step took 4,000-9,000. A step now and
+    then still grows the heap by a few MB, hence the median."""
+    for seed in range(4):
+        _teacher_step(seed)
+    faults = []
+    for seed in range(4, 9):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        _teacher_step(seed)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert np.median(faults) < 200, faults

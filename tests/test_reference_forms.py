@@ -1,0 +1,103 @@
+"""The sliced encoder kernel and the buffered reasoning loss against their
+whole-block forms (``reasoning_reference``): outputs, caches and every
+gradient are bitwise equal at shapes with more rows than one slice, with
+dropout on, padded neighbor slots and rows without history.
+"""
+
+import numpy as np
+import pytest
+
+import reasoning_reference as ref
+from conftest import random_kg
+from tkgdistill.encoder import (
+    _row_slices,
+    encode_batch_bwd,
+    encode_batch_fwd,
+    init_network_params,
+)
+from tkgdistill.scoring import (
+    NegativeSamplerConfig,
+    reasoning_loss_bwd,
+    reasoning_loss_fwd,
+)
+
+
+def _kg_and_params(seed: int, d: int = 16):
+    kg = random_kg(
+        np.random.default_rng(seed), n_entities=120, n_relations=4, horizon=12,
+        n_events=500,
+    )
+    params = init_network_params(120, 4, d, seed=seed + 1, dropout_rate=0.3)
+    return kg, params
+
+
+def _assert_caches_equal(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, dict):
+            _assert_caches_equal(got[key], value)
+        elif isinstance(value, np.ndarray):
+            assert np.array_equal(got[key], value), key
+        else:
+            assert got[key] == value, key
+
+
+def _assert_grads_equal(got: dict, want: dict):
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+
+
+def test_row_slices_cover_rows_in_order():
+    assert _row_slices(100, 8) == [slice(0, 256)]
+    parts = _row_slices(3900, 8)
+    assert [p.start for p in parts] == list(range(0, 3900, 488))
+    assert parts[-1].stop >= 3900
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_encoder_kernel_matches_whole_block_form(seed):
+    kg, params = _kg_and_params(seed)
+    rng = np.random.default_rng(seed)
+    n, b = 700, 6
+    ids = rng.integers(0, params.n_entities, size=n)
+    times = rng.integers(0, kg.horizon, size=n)  # t = 0 rows have no history
+    assert len(_row_slices(n, b)) > 1
+
+    out, cache = encode_batch_fwd(params, kg, ids, times, b, np.random.default_rng(7))
+    want, want_cache = ref.encode_batch_fwd(
+        params, kg, ids, times, b, np.random.default_rng(7)
+    )
+    assert (~cache["has_nb"]).any() and (~cache["mask"][cache["has_nb"]]).any()
+    assert cache["dmask"] is not None
+    assert np.array_equal(out, want)
+    _assert_caches_equal(cache, want_cache)
+
+    grad_out = rng.normal(size=out.shape)
+    grads, want_grads = params.zero_grads(), params.zero_grads()
+    encode_batch_bwd(grad_out, cache, params, grads)
+    ref.encode_batch_bwd(grad_out, want_cache, params, want_grads)
+    _assert_grads_equal(grads, want_grads)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reasoning_loss_matches_whole_block_form(seed):
+    kg, params = _kg_and_params(seed)
+    batch = list(kg.quadruples)[:80]
+    neg = NegativeSamplerConfig(factor=5, seed=seed)
+
+    def run(fwd, bwd):
+        loss, cache = fwd(
+            params, kg, batch, neg, 1.0, np.random.default_rng(seed), 6,
+            np.random.default_rng(seed + 10),
+        )
+        grads = params.zero_grads()
+        bwd(cache, params, grads)
+        return loss, cache, grads
+
+    loss, cache, grads = run(reasoning_loss_fwd, reasoning_loss_bwd)
+    want_loss, want_cache, want_grads = run(ref.reasoning_loss_fwd, ref.reasoning_loss_bwd)
+    assert cache["n_pairs"] > 256
+    assert loss == want_loss
+    assert np.array_equal(want_cache.pop("h_n"), cache["reps"][cache["neg_rows"]])
+    _assert_caches_equal(cache, want_cache)
+    _assert_grads_equal(grads, want_grads)
