@@ -11,6 +11,13 @@ the dropout mask. The backward gathers the centre and neighbor rows of
 ``entity_emb`` again, which gives the forward's values because the
 parameters do not change between a forward and its backward. So a
 trajectory of 28 steps keeps no (n, b, d) block per step.
+
+Neither direction builds one either: both gather neighbor rows one slice
+of ``ceil(n / b)`` rows (at least 256) at a time, so a gathered slice is
+no larger than the (n, d) arrays, and each slice runs the same per-row
+matmul as a whole-block gather would, bit for bit. The (n, d) arrays are
+then worked on in place: the dropout mask and the ReLU write into the
+message, and the fallback rows are set and cleared where they lie.
 """
 
 from __future__ import annotations
