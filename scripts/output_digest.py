@@ -1,5 +1,9 @@
 """Print digests of a run's outputs, so two checkouts can be compared bitwise.
 
+A ``pair`` line per config and seed covers the generator alone: sha256
+prefixes of the dumped source, full target and incomplete target TSVs and
+of the alignment file, so a generator change shows without training.
+
 For each seed this runs one ``experiments.run_transfer`` on the desk config
 (6 epochs, generation from epoch 2), one on the paper_dims config (1 epoch)
 and one on the scale5x config (1,000 entities per side, 1 epoch), the
@@ -8,10 +12,10 @@ names, and prints sha256 prefixes of the teacher, student and alignment
 parameter bytes and of the MetricsReport JSON without ``config_digest``
 (which changes whenever a TrainConfig field is added or removed).
 
-An ``eval`` line per seed covers the read-only path: the generator and
-untrained d=128 checkpoint of the eval_ckpt perfbench workload, ranked by an
-in-process ``tkgdistill eval``, digested as its ``metrics.json`` without
-``config_digest``.
+An ``eval`` line per seed, after its own ``pair`` line, covers the
+read-only path: the generator and untrained d=128 checkpoint of the
+eval_ckpt perfbench workload, ranked by an in-process ``tkgdistill eval``,
+digested as its ``metrics.json`` without ``config_digest``.
 
     python3 scripts/output_digest.py --seeds 0 1
 
@@ -44,6 +48,7 @@ from tkgdistill.checkpoint import Checkpoint, save_checkpoint  # noqa: E402
 from tkgdistill.encoder import init_network_params  # noqa: E402
 from tkgdistill.tkg import (  # noqa: E402
     GeneratorConfig,
+    dump_alignments,
     dump_quadruples,
     generate_synthetic_pair,
     split_by_time,
@@ -82,10 +87,24 @@ def _report_sha(report_json: str) -> str:
     return _sha(json.dumps(doc, sort_keys=True).encode())
 
 
-def _eval_digest(seed: int) -> str:
+def _pair_digest(pair) -> str:
+    """sha256 prefixes of the pair's dumped graphs and alignment file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        parts = {"source": pair.source, "full": pair.target_full,
+                 "incomplete": pair.target_incomplete}
+        for name, kg in parts.items():
+            dump_quadruples(kg, work / name)
+        dump_alignments(pair.alignments, pair.source.entities,
+                        pair.target_full.entities, work / "align")
+        return " ".join(
+            f"{name} {_sha((work / name).read_bytes())}" for name in [*parts, "align"]
+        )
+
+
+def _eval_digest(pair, seed: int) -> str:
     """``tkgdistill eval`` of a seeded, untrained checkpoint; history is the
     full target graph, test its test span."""
-    pair = generate_synthetic_pair(EVAL_GENERATOR, seed)
     kg = pair.target_full
     _, _, test = split_by_time(kg, TrainConfig().split())
     n_rel = len(kg.relations)
@@ -125,6 +144,7 @@ def main() -> int:
     for name, (gen, cfg) in CONFIGS.items():
         for seed in args.seeds:
             pair = generate_synthetic_pair(gen, seed)
+            print(f"pair {name} seed {seed}: {_pair_digest(pair)}", flush=True)
             report, state = experiments.run_transfer(
                 pair, replace(cfg, seed=seed), experiments.TeacherBank()
             )
@@ -136,7 +156,9 @@ def main() -> int:
                 flush=True,
             )
     for seed in args.seeds:
-        print(f"eval seed {seed}: metrics {_eval_digest(seed)}", flush=True)
+        pair = generate_synthetic_pair(EVAL_GENERATOR, seed)
+        print(f"pair eval seed {seed}: {_pair_digest(pair)}", flush=True)
+        print(f"eval seed {seed}: metrics {_eval_digest(pair, seed)}", flush=True)
     return 0
 
 

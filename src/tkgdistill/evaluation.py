@@ -105,7 +105,12 @@ def score_object_queries(
     # -(|u - h_c|^2) expanded so memory stays linear in Q + E
     u_sq = (u * u).sum(axis=1)[:, None]
     h_sq = (h_all * h_all).sum(axis=1)[None, :]
-    return -(u_sq - 2.0 * (u @ h_all.T) + h_sq)
+    # -(u_sq - 2 (u @ h_all.T) + h_sq), same operations and order, in one buffer
+    scores = u @ h_all.T
+    scores *= 2.0
+    np.subtract(u_sq, scores, out=scores)
+    scores += h_sq
+    return np.negative(scores, out=scores)
 
 
 def _check_ids(params: NetworkParams, e: int, r: int) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -31,11 +32,9 @@ class Vocabulary:
     """Ordered symbol table; indices are assigned in insertion order."""
 
     def __init__(self, symbols: Iterable[str] = (), frozen: bool = False):
-        self._symbols: list[str] = []
-        self._index: dict[str, int] = {}
-        self.frozen = False
-        for s in symbols:
-            self.add(s)
+        # first occurrence wins, as with repeated ``add`` calls
+        self._symbols: list[str] = list(dict.fromkeys(symbols))
+        self._index: dict[str, int] = {s: i for i, s in enumerate(self._symbols)}
         self.frozen = frozen
 
     def add(self, symbol: str) -> int:
@@ -75,7 +74,7 @@ class Vocabulary:
 
     @classmethod
     def integers(cls, n: int) -> "Vocabulary":
-        return cls((str(i) for i in range(n)), frozen=True)
+        return cls(map(str, range(n)), frozen=True)
 
 
 class TemporalKG:
@@ -92,6 +91,10 @@ class TemporalKG:
     per-node sorted layout (T-CSR) of TGL (Zhou et al., VLDB 2022): memory
     is O(|Q|) whatever the lookup width. Every key, and the end of the last
     entity's run, must fit in int64.
+
+    The quadruples are read into one ``(n, 4)`` int64 block and every range
+    is checked on it at once; an error names the first bad quadruple, and
+    within it the entity check comes before the relation and time checks.
     """
 
     def __init__(
@@ -101,21 +104,32 @@ class TemporalKG:
         quadruples: Sequence[Quadruple],
         horizon: int,
     ):
-        for q in quadruples:
-            if not (0 <= q.subject < len(entities) and 0 <= q.object < len(entities)):
+        quadruples = tuple(quadruples)
+        n = len(quadruples)
+        try:
+            block = np.fromiter(chain.from_iterable(quadruples), np.int64, 4 * n)
+        except OverflowError:  # a field beyond int64 fails a range or key check below
+            block = np.array(quadruples, dtype=object)
+        s, r, o, t = block.reshape(n, 4).T
+        bad_ent = (s < 0) | (s >= len(entities)) | (o < 0) | (o >= len(entities))
+        bad_rel = (r < 0) | (r >= len(relations))
+        bad = bad_ent | bad_rel | (t < 0) | (t >= horizon)
+        if bad.any():
+            i = int(bad.argmax())
+            q = quadruples[i]
+            if bad_ent[i]:
                 raise ValueError(f"entity id out of vocabulary in {q}")
-            if not 0 <= q.relation < len(relations):
+            if bad_rel[i]:
                 raise ValueError(f"relation id out of vocabulary in {q}")
-            if not 0 <= q.time < horizon:
-                raise ValueError(f"time {q.time} outside horizon {horizon} in {q}")
+            raise ValueError(f"time {q.time} outside horizon {horizon} in {q}")
         if len(entities) * (horizon + 1) > np.iinfo(np.int64).max:
             raise ValueError(f"{len(entities)} entities x horizon {horizon} "
                              "overflow the int64 index key")
         self.entities = entities
         self.relations = relations
-        self.quadruples = tuple(quadruples)
+        self.quadruples = quadruples
         self.horizon = horizon
-        s, r, o, t = np.asarray(self.quadruples, dtype=np.int64).reshape(-1, 4).T
+        self._quad_time = t.copy()  # in input order, for time masks
         ent, nbr = np.concatenate([s, o]), np.concatenate([o, s])
         rel, tim = np.concatenate([r, r]), np.concatenate([t, t])
         order = np.lexsort((rel, nbr, tim, ent))
@@ -218,15 +232,6 @@ def numbered_lines(path) -> Iterator[tuple[int, str]]:
     return enumerate(io.StringIO(text, newline=None), start=1)
 
 
-def _parse_fields(line: str, n: int, path: str, lineno: int) -> list[str]:
-    fields = line.rstrip("\n").split("\t")
-    if len(fields) != n:
-        raise ValueError(
-            f"{path}:{lineno}: expected {n} tab-separated fields, got {len(fields)}"
-        )
-    return fields
-
-
 def _parse_time(text: str, path: str, lineno: int) -> int:
     try:
         t = int(text)
@@ -262,21 +267,25 @@ def load_quadruples(
     entities = entity_vocab if entity_vocab is not None else Vocabulary()
     relations = relation_vocab if relation_vocab is not None else Vocabulary()
     with entities.undo_on_error(), relations.undo_on_error():
+        add_entity, add_relation = entities.add, relations.add
         quads: list[Quadruple] = []
         max_t, max_line = -1, 0
         for lineno, line in numbered_lines(path):
             if line.startswith("#") or not line.strip():
                 continue
-            s, r, o, t = _parse_fields(line, 4, path, lineno)
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 4:
+                raise ValueError(
+                    f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
+                )
+            s, r, o, t = fields
             t = _parse_time(t, path, lineno)
             if horizon is not None and t >= horizon:
                 raise ValueError(
                     f"{path}:{lineno}: time {t} outside horizon {horizon}"
                 )
             try:
-                quads.append(
-                    Quadruple(entities.add(s), relations.add(r), entities.add(o), t)
-                )
+                quads.append(Quadruple(add_entity(s), add_relation(r), add_entity(o), t))
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
             if t > max_t:
@@ -290,12 +299,10 @@ def load_quadruples(
 
 
 def dump_quadruples(kg: TemporalKG, path) -> None:
+    ent, rel = kg.entities.symbols(), kg.relations.symbols()
+    text = "".join(f"{ent[s]}\t{rel[r]}\t{ent[o]}\t{t}\n" for s, r, o, t in kg.quadruples)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for q in kg.quadruples:
-            fh.write(
-                f"{kg.entities.symbol(q.subject)}\t{kg.relations.symbol(q.relation)}\t"
-                f"{kg.entities.symbol(q.object)}\t{q.time}\n"
-            )
+        fh.write(text)
 
 
 def load_alignments(
@@ -363,10 +370,11 @@ def split_by_time(
             f"split spec covers {spec.total_steps} steps but horizon is {kg.horizon}"
         )
     val_end = spec.train_steps + spec.val_steps
-    train = [q for q in kg.quadruples if q.time < spec.train_steps]
-    val = [q for q in kg.quadruples if spec.train_steps <= q.time < val_end]
-    test = [q for q in kg.quadruples if q.time >= val_end]
-    return kg.with_quadruples(train), kg.with_quadruples(val), kg.with_quadruples(test)
+    t = kg._quad_time
+    masks = (t < spec.train_steps, (t >= spec.train_steps) & (t < val_end), t >= val_end)
+    return tuple(
+        kg.with_quadruples(tuple(compress(kg.quadruples, m.tolist()))) for m in masks
+    )
 
 
 def subsample_events(
@@ -380,13 +388,10 @@ def subsample_events(
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
     rng = np.random.default_rng(seed)
-    draws = rng.random(len(kg.quadruples))
-    kept = [
-        q
-        for q, u in zip(kg.quadruples, draws)
-        if u < ratio or (before_step is not None and q.time >= before_step)
-    ]
-    return kg.with_quadruples(kept)
+    keep = rng.random(len(kg.quadruples)) < ratio
+    if before_step is not None:
+        keep |= kg._quad_time >= before_step
+    return kg.with_quadruples(tuple(compress(kg.quadruples, keep.tolist())))
 
 
 def _round_half_up(x: float) -> int:
@@ -511,15 +516,16 @@ def _event_pool(
 
 
 def _sample_pool_events(rng, pool, centers, halfwidth, steps, per_step):
-    """Per step, draw events from the triples whose window covers that step."""
-    quads: list[Quadruple] = []
+    """Per step, draw events from the triples whose window covers that step;
+    (subject, relation, object, time) rows, in step order."""
+    picks = []
     for t in range(steps):
         eligible = np.flatnonzero(np.abs(centers - t) <= halfwidth)
         if eligible.size == 0:
             eligible = np.arange(len(pool))
-        picks = eligible[rng.integers(0, eligible.size, size=per_step)]
-        quads.extend(Quadruple(int(s), int(r), int(o), t) for s, r, o in pool[picks])
-    return quads
+        picks.append(eligible[rng.integers(0, eligible.size, size=per_step)])
+    return np.column_stack([pool[np.concatenate(picks)],
+                            np.repeat(np.arange(steps), per_step)])
 
 
 def generate_synthetic_pair(cfg: GeneratorConfig, seed: int) -> SyntheticPair:
@@ -546,11 +552,11 @@ def generate_synthetic_pair(cfg: GeneratorConfig, seed: int) -> SyntheticPair:
         if cfg.target_background_per_step is not None
         else cfg.events_per_step
     )
-    src_quads = _sample_pool_events(
+    src = _sample_pool_events(
         rng_events, src_pool, src_centers, cfg.window_halfwidth, cfg.steps,
         cfg.events_per_step,
     )
-    tgt_quads = _sample_pool_events(
+    tgt = _sample_pool_events(
         rng_events, tgt_pool, tgt_centers, cfg.window_halfwidth, cfg.steps,
         background,
     )
@@ -559,30 +565,30 @@ def generate_synthetic_pair(cfg: GeneratorConfig, seed: int) -> SyntheticPair:
     n_map = min(cfg.source_entities, cfg.target_entities)
     src_side = rng_map.permutation(cfg.source_entities)[:n_map]
     tgt_side = rng_map.permutation(cfg.target_entities)[:n_map]
-    latent = {int(s): int(t) for s, t in zip(src_side, tgt_side)}
-    for q in src_quads:
-        if q.subject in latent and q.object in latent:
-            if rng_copy.random() < cfg.copy_prob:
-                tgt_quads.append(
-                    Quadruple(latent[q.subject], q.relation, latent[q.object], q.time)
-                )
+    latent = dict(zip(src_side.tolist(), tgt_side.tolist()))
+    target_of = np.full(cfg.source_entities, -1)  # -1: outside the latent map
+    target_of[src_side] = tgt_side
+    # one copy draw per source event with both endpoints mapped, in event order
+    copies = src[(target_of[src[:, 0]] >= 0) & (target_of[src[:, 2]] >= 0)]
+    copies = copies[rng_copy.random(len(copies)) < cfg.copy_prob]
+    copies[:, [0, 2]] = target_of[copies[:, [0, 2]]]
+    tgt = np.concatenate([tgt, copies])
 
     relations = Vocabulary.integers(cfg.relations)
     source = TemporalKG(
-        Vocabulary.integers(cfg.source_entities), relations, src_quads, cfg.steps
+        Vocabulary.integers(cfg.source_entities), relations,
+        list(map(Quadruple._make, src.tolist())), cfg.steps,
     )
     target_full = TemporalKG(
-        Vocabulary.integers(cfg.target_entities), relations, tgt_quads, cfg.steps
+        Vocabulary.integers(cfg.target_entities), relations,
+        list(map(Quadruple._make, tgt.tolist())), cfg.steps,
     )
 
     # Exposed pairs favor prominent entities: coverage lands on the targets
     # with the most events, the way interlanguage links favor popular pages.
     n_exposed = _round_half_up(cfg.coverage * cfg.target_entities)
     n_exposed = min(n_exposed, n_map)
-    degree = np.zeros(cfg.target_entities, dtype=np.int64)
-    for q in tgt_quads:
-        degree[q.subject] += 1
-        degree[q.object] += 1
+    degree = np.bincount(tgt[:, [0, 2]].ravel(), minlength=cfg.target_entities)
     jitter = rng_cover.random(n_map)
     mapped_degrees = degree[tgt_side]
     order = np.lexsort((jitter, -mapped_degrees))

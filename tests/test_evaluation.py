@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tkgdistill.encoder import init_network_params
 from tkgdistill.evaluation import (
     DiagnosticConfig,
     EncodingCache,
@@ -13,6 +14,7 @@ from tkgdistill.evaluation import (
     rank_of,
     rank_query,
     ranks_of,
+    score_object_queries,
     transfer_ratio,
 )
 
@@ -68,6 +70,21 @@ class TestRanksOf:
         true_ids = rng.integers(0, e, size=q)
         want = [rank_of(scores[i], int(true_ids[i])) for i in range(q)]
         assert ranks_of(scores, true_ids).tolist() == want
+
+
+class TestScoreObjectQueries:
+    def test_in_place_form_equals_the_expression_bitwise(self):
+        params = init_network_params(2000, 7, 16, seed=0)
+        rng = np.random.default_rng(1)
+        h_all = rng.normal(size=(2000, 16))
+        subj, rel = rng.integers(0, 2000, 400), rng.integers(0, 14, 400)
+        u = h_all[subj] + params.relation_emb[rel]
+        u_sq = (u * u).sum(axis=1)[:, None]
+        h_sq = (h_all * h_all).sum(axis=1)[None, :]
+        want = -(u_sq - 2.0 * (u @ h_all.T) + h_sq)
+        got = score_object_queries(params, h_all, subj, rel)
+        assert got.shape == (400, 2000)
+        assert np.array_equal(got, want)
 
 
 class TestMetricsArithmetic:

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tkgdistill.experiments import DESK_GENERATOR
 from tkgdistill.tkg import (
     AlignmentPair,
     AlignmentSet,
@@ -357,6 +359,97 @@ class TestNeighborArrays:
             TemporalKG(Vocabulary.integers(2), Vocabulary.integers(1), [], horizon + 1)
 
 
+def first_quadruple_error(quads, n_entities, n_relations, horizon):
+    """The message of the first failed check, by a per-quadruple loop."""
+    for q in quads:
+        if not (0 <= q.subject < n_entities and 0 <= q.object < n_entities):
+            return f"entity id out of vocabulary in {q}"
+        if not 0 <= q.relation < n_relations:
+            return f"relation id out of vocabulary in {q}"
+        if not 0 <= q.time < horizon:
+            return f"time {q.time} outside horizon {horizon} in {q}"
+    return None
+
+
+def build(quads, n_entities=4, n_relations=3, horizon=5):
+    return TemporalKG(Vocabulary.integers(n_entities),
+                      Vocabulary.integers(n_relations), quads, horizon)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("bad, message", [
+        (Quadruple(-1, 0, 1, 0), "entity id out of vocabulary in {q}"),
+        (Quadruple(0, 0, 4, 0), "entity id out of vocabulary in {q}"),
+        (Quadruple(0, 3, 1, 0), "relation id out of vocabulary in {q}"),
+        (Quadruple(0, -1, 1, 0), "relation id out of vocabulary in {q}"),
+        (Quadruple(0, 0, 1, 5), "time 5 outside horizon 5 in {q}"),
+        (Quadruple(0, 0, 1, -1), "time -1 outside horizon 5 in {q}"),
+    ])
+    def test_each_check_names_the_quadruple(self, bad, message):
+        with pytest.raises(ValueError) as exc:
+            build([Quadruple(0, 0, 1, 0), bad])
+        assert str(exc.value) == message.format(q=bad)
+
+    def test_first_bad_quadruple_is_named(self):
+        late, wrong_entity = Quadruple(0, 0, 1, 9), Quadruple(7, 0, 1, 0)
+        with pytest.raises(ValueError) as exc:
+            build([Quadruple(0, 0, 1, 0), late, wrong_entity])
+        assert str(exc.value) == f"time 9 outside horizon 5 in {late}"
+        # within one quadruple the entity check comes before relation and time
+        everything_wrong = Quadruple(7, 9, 1, 9)
+        with pytest.raises(ValueError) as exc:
+            build([everything_wrong, late])
+        assert str(exc.value) == f"entity id out of vocabulary in {everything_wrong}"
+
+    @given(st.lists(st.builds(
+        Quadruple, *[st.one_of(st.integers(-1, 5), st.sampled_from([2**63, -2**63 - 1]))
+                     for _ in range(4)]
+    ), max_size=6))
+    @settings(max_examples=200)
+    def test_message_matches_the_per_quadruple_loop(self, quads):
+        want = first_quadruple_error(quads, 4, 3, 5)
+        if want is None:
+            assert build(quads).quadruples == tuple(quads)
+        else:
+            with pytest.raises(ValueError) as exc:
+                build(quads)
+            assert str(exc.value) == want
+
+    def test_numpy_integer_fields_are_accepted(self):
+        q = Quadruple(np.int64(0), np.int32(2), np.uint8(1), np.int16(4))
+        kg = build([q])
+        assert kg.quadruples == (q,)
+        assert kg.adjacency(0) == [(1, 2, 4)]
+        assert kg.adjacency(1) == [(0, 2, 4)]
+
+    def test_graph_without_quadruples_builds_splits_and_thins(self):
+        for quads in ([], (), iter([])):
+            kg = build(quads)
+            assert kg.quadruples == ()
+            assert kg.adjacency(0) == []
+        assert all(part.quadruples == () for part in
+                   split_by_time(kg, SplitSpec(5, 3, 1, 1)))
+        assert subsample_events(kg, 0.5, seed=0, before_step=2).quadruples == ()
+
+
+class TestVocabulary:
+    def test_first_occurrence_wins_as_with_add(self):
+        symbols = ["b", "a", "b", "c", "a"]
+        added = Vocabulary()
+        for sym in symbols:
+            added.add(sym)
+        built = Vocabulary(symbols)
+        assert built.symbols() == added.symbols() == ["b", "a", "c"]
+        assert [built.add(sym) for sym in symbols] == [0, 1, 0, 2, 1]
+        assert len(built) == 3 and "c" in built and "d" not in built
+
+    def test_integers_is_frozen(self):
+        vocab = Vocabulary.integers(3)
+        assert vocab.symbols() == ["0", "1", "2"] and vocab.add("2") == 2
+        with pytest.raises(KeyError, match="frozen"):
+            vocab.add("3")
+
+
 class TestSplit:
     def test_paper_shape_boundaries(self):
         quads = [Quadruple(0, 0, 1, t) for t in (27, 28, 32)]
@@ -386,6 +479,9 @@ class TestSplit:
         train, val, test = split_by_time(kg, SplitSpec(10, 6, 2, 2))
         merged = sorted(train.quadruples + val.quadruples + test.quadruples)
         assert merged == sorted(kg.quadruples)
+        # each part keeps the graph's order
+        assert train.quadruples == tuple(q for q in kg.quadruples if q.time < 6)
+        assert val.quadruples == tuple(q for q in kg.quadruples if 6 <= q.time < 8)
 
 
 class TestSubsample:
@@ -408,6 +504,16 @@ class TestSubsample:
     def test_bad_ratio(self, toy_kg):
         with pytest.raises(ValueError):
             subsample_events(toy_kg, 0.0, seed=1)
+
+    @pytest.mark.parametrize("before_step", [None, 4])
+    def test_matches_the_per_quadruple_rule(self, before_step):
+        kg = random_kg(np.random.default_rng(6), horizon=10, n_events=300)
+        draws = np.random.default_rng(3).random(len(kg.quadruples))
+        want = tuple(
+            q for q, u in zip(kg.quadruples, draws)
+            if u < 0.3 or (before_step is not None and q.time >= before_step)
+        )
+        assert subsample_events(kg, 0.3, 3, before_step).quadruples == want
 
     def test_boundary_keeps_later_events(self, toy_kg):
         out = subsample_events(toy_kg, 0.05, seed=2, before_step=4)
@@ -476,6 +582,35 @@ class TestSyntheticPair:
         dump_quadruples(b.source, pb)
         assert pa.read_bytes() == pb.read_bytes()
         assert a.target_incomplete.quadruples == b.target_incomplete.quadruples
+
+    @pytest.mark.parametrize("cfg, seed, digests", [
+        (DESK_GENERATOR, 0, {
+            "source": "64173a0713b58dbb", "target_full": "57dc37430ea13540",
+            "target_incomplete": "d42c5c40b82a84b6", "alignments": "a4bb20c92ea9a2b0",
+            "latent_map": "4e6b0e7a6fd95596",
+        }),
+        (GeneratorConfig(source_entities=2000, target_entities=2000,
+                         events_per_step=200, target_background_per_step=280), 3, {
+            "source": "7f51b447e4327864", "target_full": "d7d0e7498bcd496f",
+            "target_incomplete": "adb50008044c7721", "alignments": "731cc63cf4333343",
+            "latent_map": "fcb73a3f0e77fac1",
+        }),
+    ], ids=["desk", "eval_ckpt"])
+    def test_outputs_are_pinned(self, tmp_path, cfg, seed, digests):
+        """sha256 prefixes of every generator output, so a moved RNG draw fails."""
+        def sha(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()[:16]
+
+        pair = generate_synthetic_pair(cfg, seed)
+        got = {}
+        for name in ("source", "target_full", "target_incomplete"):
+            dump_quadruples(getattr(pair, name), tmp_path / name)
+            got[name] = sha((tmp_path / name).read_bytes())
+        got["alignments"] = sha(repr(sorted(
+            (p.source_entity, p.target_entity) for p in pair.alignments
+        )).encode())
+        got["latent_map"] = sha(repr(sorted(pair.latent_map.items())).encode())
+        assert got == digests
 
     def test_coverage_count(self):
         cfg = GeneratorConfig(coverage=0.1)
