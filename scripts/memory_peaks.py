@@ -13,9 +13,14 @@ by its caller included, so the phase holding the run's peak reads the
 run's peak. Next to each peak, in brackets, are the minor page faults
 (``ru_minflt``) taken during all of the phase's calls, nested calls
 included, as the peaks are; the run's own count ends the line, so a fault
-storm shows where it lands. A phase that never ran reads ``-``. The last
-line is the process's ``ru_maxrss``: the largest resident set of all runs
-together, inflated by tracemalloc's own records.
+storm shows where it lands. A phase that never ran reads ``-``.
+
+An ``eval`` line per seed follows: the generator and untrained d = 128
+checkpoint of ``scripts/output_digest.py``'s ``eval`` line, ranked by an
+in-process ``tkgdistill eval``, with the peak of ``evaluate`` and of the
+whole command (checkpoint and TSV loading included). The last line is the
+process's ``ru_maxrss``: the largest resident set of all runs together,
+inflated by tracemalloc's own records.
 
     python3 scripts/memory_peaks.py --seeds 0 1
 """
@@ -25,14 +30,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from output_digest import CONFIGS  # noqa: E402  (pins BLAS before numpy)
+from output_digest import (  # noqa: E402  (pins BLAS before numpy)
+    CONFIGS,
+    EVAL_GENERATOR,
+    eval_argv,
+    run_eval,
+)
 
 import argparse  # noqa: E402
 import resource  # noqa: E402
+import tempfile  # noqa: E402
 import tracemalloc  # noqa: E402
 from dataclasses import replace  # noqa: E402
 
-from tkgdistill import experiments, trainer  # noqa: E402
+from tkgdistill import cli, experiments, trainer  # noqa: E402
 from tkgdistill.tkg import generate_synthetic_pair  # noqa: E402
 
 MB = 1e6
@@ -59,6 +70,8 @@ PHASES = (
     ("transfer", trainer, "transfer_events"),
     ("validation", trainer, "evaluate"),
 )
+# the phase of a ``tkgdistill eval``
+EVAL_PHASES = (("evaluate", cli, "evaluate"),)
 # the phases a run_transfer reaches, in print order
 LABELS = ("teacher", "alignment_fit", "distill_channel") + tuple(
     label for label, _, _ in PHASES[2:]
@@ -105,24 +118,33 @@ class PeakTracker:
         return max(self._stack[0], tracemalloc.get_traced_memory()[1])
 
 
-def traced_run(gen, cfg, seed: int) -> tuple[PeakTracker, int, int]:
-    """The phase tracker, whole-run peak (bytes) and minor page faults of
-    one ``run_transfer``."""
-    pair = generate_synthetic_pair(gen, seed)
+def traced_call(phases, fn) -> tuple[PeakTracker, int, int]:
+    """The phase tracker, whole-call peak (bytes) and minor page faults of
+    ``fn()`` with each of ``phases`` wrapped."""
     tracker = PeakTracker()
-    originals = [(module, name, getattr(module, name)) for _, module, name in PHASES]
-    for label, module, name in PHASES:
+    originals = [(module, name, getattr(module, name)) for _, module, name in phases]
+    for label, module, name in phases:
         setattr(module, name, tracker.wrap(label, getattr(module, name)))
     tracemalloc.start()
     try:
         faults = _minflt()
-        experiments.run_transfer(pair, replace(cfg, seed=seed), experiments.TeacherBank())
+        fn()
         faults = _minflt() - faults
         return tracker, tracker.total(), faults
     finally:
         tracemalloc.stop()
-        for module, name, fn in originals:
-            setattr(module, name, fn)
+        for module, name, original in originals:
+            setattr(module, name, original)
+
+
+def _line(name: str, labels, traced: tuple[PeakTracker, int, int]) -> str:
+    tracker, total, faults = traced
+    cells = ", ".join(
+        f"{label} {tracker.peaks[label] / MB:.1f} ({tracker.faults[label]})"
+        if label in tracker.peaks else f"{label} -"
+        for label in labels
+    )
+    return f"{name} peak MB: {cells}, run {total / MB:.1f}; ru_minflt {faults}"
 
 
 def main() -> int:
@@ -131,14 +153,16 @@ def main() -> int:
     args = parser.parse_args()
     for config, (gen, cfg) in CONFIGS.items():
         for seed in args.seeds:
-            tracker, total, faults = traced_run(gen, cfg, seed)
-            cells = ", ".join(
-                f"{label} {tracker.peaks[label] / MB:.1f} ({tracker.faults[label]})"
-                if label in tracker.peaks else f"{label} -"
-                for label in LABELS
-            )
-            print(f"{config} seed {seed} peak MB: {cells}, run {total / MB:.1f}; "
-                  f"ru_minflt {faults}", flush=True)
+            pair = generate_synthetic_pair(gen, seed)
+            traced = traced_call(PHASES, lambda: experiments.run_transfer(
+                pair, replace(cfg, seed=seed), experiments.TeacherBank()))
+            print(_line(f"{config} seed {seed}", LABELS, traced), flush=True)
+    for seed in args.seeds:
+        pair = generate_synthetic_pair(EVAL_GENERATOR, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = eval_argv(pair, seed, Path(tmp))
+            traced = traced_call(EVAL_PHASES, lambda: run_eval(argv))
+        print(_line(f"eval seed {seed}", ("evaluate",), traced), flush=True)
     maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(f"ru_maxrss {maxrss_kb * 1024 / MB:.1f} MB")
     return 0

@@ -102,30 +102,40 @@ def _pair_digest(pair) -> str:
         )
 
 
-def _eval_digest(pair, seed: int) -> str:
-    """``tkgdistill eval`` of a seeded, untrained checkpoint; history is the
-    full target graph, test its test span."""
+def eval_argv(pair, seed: int, work: Path) -> list[str]:
+    """Write a seeded, untrained checkpoint, the full target graph as
+    history and its test span as test into ``work``; return the
+    ``tkgdistill eval`` arguments that rank them into ``work / "eval"``."""
     kg = pair.target_full
     _, _, test = split_by_time(kg, TrainConfig().split())
     n_rel = len(kg.relations)
+    dump_quadruples(kg, work / "history.tsv")
+    dump_quadruples(test, work / "test.tsv")
+    save_checkpoint(Checkpoint(
+        init_network_params(len(pair.source.entities), n_rel, EVAL_DIM, seed + 1),
+        init_network_params(len(kg.entities), n_rel, EVAL_DIM, seed + 2),
+        init_align_params(EVAL_DIM, seed + 3),
+        pair.source.entities, kg.entities, kg.relations,
+        TrainConfig(dim=EVAL_DIM).digest(), seed,
+    ), work / "checkpoint.mpkd")
+    return [
+        "eval", "--checkpoint", str(work / "checkpoint.mpkd"),
+        "--history", str(work / "history.tsv"), "--test", str(work / "test.tsv"),
+        "--out", str(work / "eval"),
+    ]
+
+
+def run_eval(argv: list[str]) -> None:
+    rc = cli.main(argv)
+    if rc != 0:
+        raise RuntimeError(f"tkgdistill eval exited with {rc}")
+
+
+def _eval_digest(pair, seed: int) -> str:
+    """The digest of ``tkgdistill eval`` on the ``eval_argv`` inputs."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        dump_quadruples(kg, work / "history.tsv")
-        dump_quadruples(test, work / "test.tsv")
-        save_checkpoint(Checkpoint(
-            init_network_params(len(pair.source.entities), n_rel, EVAL_DIM, seed + 1),
-            init_network_params(len(kg.entities), n_rel, EVAL_DIM, seed + 2),
-            init_align_params(EVAL_DIM, seed + 3),
-            pair.source.entities, kg.entities, kg.relations,
-            TrainConfig(dim=EVAL_DIM).digest(), seed,
-        ), work / "checkpoint.mpkd")
-        rc = cli.main([
-            "eval", "--checkpoint", str(work / "checkpoint.mpkd"),
-            "--history", str(work / "history.tsv"), "--test", str(work / "test.tsv"),
-            "--out", str(work / "eval"),
-        ])
-        if rc != 0:
-            raise RuntimeError(f"tkgdistill eval exited with {rc}")
+        run_eval(eval_argv(pair, seed, work))
         return _report_sha((work / "eval" / "metrics.json").read_text(encoding="utf-8"))
 
 

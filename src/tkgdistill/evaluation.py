@@ -58,12 +58,23 @@ def rank_of(scores: np.ndarray, true_id: int) -> int:
 
 
 def ranks_of(scores: np.ndarray, true_ids: np.ndarray) -> np.ndarray:
-    """``rank_of`` for every row of ``scores`` at once, same tie rule."""
+    """``rank_of`` for every row of ``scores`` at once, same tie rule.
+
+    Both counts are row sums of a ``uint8`` view of the comparison, and the
+    lower-id ties are counted only in rows that tie with something besides
+    the true entity, so no (Q, E) id block is built.
+    """
     s_true = scores[np.arange(len(true_ids)), true_ids][:, None]
-    lower_id = np.arange(scores.shape[1])[None, :] < true_ids[:, None]
-    higher = (scores > s_true).sum(axis=1)
-    tied_lower = ((scores == s_true) & lower_id).sum(axis=1)
-    return 1 + higher + tied_lower
+    ranks = 1 + _row_counts(scores > s_true)
+    for i in np.flatnonzero(_row_counts(scores == s_true) > 1):
+        ranks[i] += np.count_nonzero(scores[i, : true_ids[i]] == s_true[i])
+    return ranks
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    # an int32 accumulator sums about twice as fast as int64, and no row has
+    # 2**31 candidates
+    return np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32).astype(np.int64)
 
 
 def metrics_from_ranks(ranks) -> tuple[float, float]:
@@ -77,7 +88,9 @@ class EncodingCache:
     """Per-time-step all-entity representations under frozen parameters.
 
     Doubles as the causality audit point: every neighbor that feeds an
-    encoding at time t must be strictly earlier, and violations are counted.
+    encoding at time t must be strictly earlier, and violations are counted
+    per step, so workers that encode different steps at once lose no count.
+    ``release`` drops a step the caller is done with.
     """
 
     def __init__(self, params: NetworkParams, kg: TemporalKG, b: int):
@@ -85,16 +98,23 @@ class EncodingCache:
         self.kg = kg
         self.b = b
         self._by_time: dict[int, np.ndarray] = {}
-        self.causality_violations = 0
+        self._violations: dict[int, int] = {}
         self.all_ids = np.arange(params.n_entities, dtype=np.int64)
+
+    @property
+    def causality_violations(self) -> int:
+        return sum(self._violations.values())
 
     def at(self, t: int) -> np.ndarray:
         if t not in self._by_time:
             h, cache = encode_batch_fwd(self.params, self.kg, self.all_ids, t, self.b)
             used_times = np.where(cache["mask"], cache["tim"], -1)
-            self.causality_violations += int((used_times >= t).sum())
+            self._violations[t] = int((used_times >= t).sum())
             self._by_time[t] = h
         return self._by_time[t]
+
+    def release(self, t: int) -> None:
+        self._by_time.pop(t, None)
 
 
 def score_object_queries(
@@ -105,12 +125,13 @@ def score_object_queries(
     # -(|u - h_c|^2) expanded so memory stays linear in Q + E
     u_sq = (u * u).sum(axis=1)[:, None]
     h_sq = (h_all * h_all).sum(axis=1)[None, :]
-    # -(u_sq - 2 (u @ h_all.T) + h_sq), same operations and order, in one buffer
+    # (2 (u @ h_all.T) - u_sq) - h_sq in one buffer: value for value this is
+    # -((u_sq - 2 (u @ h_all.T)) + h_sq), and at most the sign of a zero differs
     scores = u @ h_all.T
     scores *= 2.0
-    np.subtract(u_sq, scores, out=scores)
-    scores += h_sq
-    return np.negative(scores, out=scores)
+    scores -= u_sq
+    scores -= h_sq
+    return scores
 
 
 def _check_ids(params: NetworkParams, e: int, r: int) -> None:
@@ -177,23 +198,20 @@ def evaluate(
     results: dict[int, np.ndarray] = {}
 
     def run_time(t: int) -> None:
-        quads = by_time[t]
+        # one step's encoding and one direction's (Q, E) scores alive at once
+        subj, rel, obj = np.array(by_time[t], dtype=np.int64)[:, :3].T
         h_all = cache.at(t)
-        subj = np.array([q.subject for q in quads])
-        rel = np.array([q.relation for q in quads])
-        obj = np.array([q.object for q in quads])
-        fwd = score_object_queries(params, h_all, subj, rel)
-        bwd = score_object_queries(params, h_all, obj, rel + params.n_relations)
-        ranks = np.empty(2 * len(quads), dtype=np.int64)
-        ranks[0::2] = ranks_of(fwd, obj)
-        ranks[1::2] = ranks_of(bwd, subj)
+        ranks = np.empty(2 * len(subj), dtype=np.int64)
+        ranks[0::2] = ranks_of(score_object_queries(params, h_all, subj, rel), obj)
+        ranks[1::2] = ranks_of(
+            score_object_queries(params, h_all, obj, rel + params.n_relations), subj
+        )
+        cache.release(t)
         results[t] = ranks
 
     if threads > 1:
-        # encodings are built serially so cache writes stay single-threaded;
-        # ranking per time group is independent and lands at fixed indices
-        for t in times:
-            cache.at(t)
+        # each worker encodes, ranks and releases its own step, so at most
+        # ``threads`` steps are alive; ranks land at fixed keys
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_time, times))
     else:

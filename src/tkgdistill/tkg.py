@@ -132,7 +132,14 @@ class TemporalKG:
         self._quad_time = t.copy()  # in input order, for time masks
         ent, nbr = np.concatenate([s, o]), np.concatenate([o, s])
         rel, tim = np.concatenate([r, r]), np.concatenate([t, t])
-        order = np.lexsort((rel, nbr, tim, ent))
+        n_ent, n_rel = len(entities), len(relations)
+        if n_ent * n_ent * (horizon + 1) * n_rel <= np.iinfo(np.int64).max:
+            # one stable sort of the packed (ent, tim, nbr, rel) key gives
+            # lexsort's order bit for bit
+            packed = ((ent * (horizon + 1) + tim) * n_ent + nbr) * n_rel + rel
+            order = np.argsort(packed, kind="stable")
+        else:
+            order = np.lexsort((rel, nbr, tim, ent))
         ent, nbr, rel, tim = ent[order], nbr[order], rel[order], tim[order]
         self._key = ent * (horizon + 1) + tim
         # one zero entry past the end: padded lookup slots gather from it

@@ -71,6 +71,35 @@ class TestRanksOf:
         want = [rank_of(scores[i], int(true_ids[i])) for i in range(q)]
         assert ranks_of(scores, true_ids).tolist() == want
 
+    @staticmethod
+    def _check(scores, true_ids):
+        want = [rank_of(row, int(t)) for row, t in zip(scores, true_ids)]
+        got = ranks_of(scores, np.asarray(true_ids))
+        assert got.tolist() == want
+        return want
+
+    def test_rows_where_every_candidate_ties(self):
+        scores = np.full((4, 9), -3.5)
+        assert self._check(scores, [0, 3, 8, 5]) == [1, 4, 9, 6]
+
+    def test_signed_zeros_tie(self):
+        # -0.0 == +0.0, so an earlier id holding the other zero ranks first
+        scores = np.array([[-0.0, 0.0, -1.0], [0.0, -0.0, -1.0], [-1.0, 0.0, -0.0]])
+        assert self._check(scores, [1, 1, 2]) == [2, 2, 2]
+
+    def test_true_id_at_both_ends(self):
+        rng = np.random.default_rng(0)
+        e = 13
+        scores = rng.integers(-1, 2, size=(6, e)).astype(np.float64)
+        self._check(scores, [0, e - 1, 0, e - 1, 0, e - 1])
+
+    @pytest.mark.parametrize("e", [1, 7, 9, 15, 2001])
+    def test_width_not_a_multiple_of_eight(self, e):
+        rng = np.random.default_rng(e)
+        scores = rng.integers(-2, 3, size=(5, e)).astype(np.float64)
+        scores[1] = 0.0
+        self._check(scores, rng.integers(0, e, size=5))
+
 
 class TestScoreObjectQueries:
     def test_in_place_form_equals_the_expression_bitwise(self):

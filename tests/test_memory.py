@@ -1,6 +1,6 @@
 """Memory held by the encoder's and the alignment step's caches, by one
-reasoning step and by whole training runs, and the page faults of repeated
-steps.
+reasoning step, by whole training runs and by evaluation, and the page
+faults of repeated steps.
 
 The encoder's backward gathers embedding rows again instead of keeping the
 forward's copies, so a cache holds index arrays, attention weights, the
@@ -10,7 +10,7 @@ loss scores its negatives in one buffer it does not keep. The alignment
 loss scores one time step at a time, so no (T, P, n_targets) block is built,
 and temporal integration caches only its input and attention weights. An
 alignment step integrates the targets once and runs only the backward its
-caller keeps.
+caller keeps. Evaluation holds one test step's encoding per worker.
 """
 
 import functools
@@ -26,12 +26,19 @@ from alignment_reference import alignment_step
 from tkgdistill import experiments
 from tkgdistill.alignment import init_align_params, temporal_integrate_batch_fwd
 from tkgdistill.encoder import encode_trajectories_fwd, init_network_params
+from tkgdistill.evaluation import evaluate
 from tkgdistill.scoring import (
     NegativeSamplerConfig,
     reasoning_loss_bwd,
     reasoning_loss_fwd,
 )
-from tkgdistill.tkg import GeneratorConfig, generate_synthetic_pair
+from tkgdistill.tkg import (
+    GeneratorConfig,
+    Quadruple,
+    TemporalKG,
+    Vocabulary,
+    generate_synthetic_pair,
+)
 from tkgdistill.trainer import TrainConfig
 
 MB = 2**20
@@ -222,3 +229,36 @@ def test_repeated_teacher_steps_reuse_heap_pages():
         _teacher_step(seed)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert np.median(faults) < 200, faults
+
+
+@functools.cache
+def _eval_setup():
+    """A 2,000-entity graph with 30 steps of history, a d = 128 model and
+    eight test steps of 200 quadruples each."""
+    n_ent, n_rel, per_step = 2000, 10, 200
+    rng = np.random.default_rng(0)
+    quads = [
+        Quadruple(int(s), int(r), int(o), t)
+        for t in range(38)
+        for s, r, o in zip(rng.integers(0, n_ent, per_step),
+                           rng.integers(0, n_rel, per_step),
+                           rng.integers(0, n_ent, per_step))
+    ]
+    kg = TemporalKG(Vocabulary.integers(n_ent), Vocabulary.integers(n_rel), quads, 38)
+    params = init_network_params(n_ent, n_rel, 128, seed=1)
+    return kg, params, quads[30 * per_step:]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_eval_peak_does_not_grow_with_the_test_span(threads):
+    """``evaluate`` encodes, ranks and releases one step per worker, so the
+    traced peak over eight test steps stays within one step's encoding
+    (2,000 x 128 float64, 2 MB) of the peak over two; keeping every step's
+    encoding until the end held about 12 MB more."""
+    kg, params, test = _eval_setup()
+    two_steps = [q for q in test if q.time < 32]
+    peaks = [
+        _traced_peak(lambda quads=quads: evaluate(params, kg, quads, threads=threads))
+        for quads in (two_steps, test)
+    ]
+    assert peaks[1] - peaks[0] < 2 * MB, [p / MB for p in peaks]

@@ -189,6 +189,44 @@ class TestAdjacency:
             )
             assert [(t, n, r) for n, r, t in kg.adjacency(e)] == want
 
+    @staticmethod
+    def _assert_index_in_lexsort_order(kg):
+        s, r, o, t = np.array(kg.quadruples, dtype=np.int64).reshape(-1, 4).T
+        ent, nbr = np.concatenate([s, o]), np.concatenate([o, s])
+        rel, tim = np.concatenate([r, r]), np.concatenate([t, t])
+        order = np.lexsort((rel, nbr, tim, ent))
+        want = np.stack([ent, nbr, rel, tim], axis=1)[order].tolist()
+        got = [[e, *entry] for e in range(len(kg.entities)) for entry in kg.adjacency(e)]
+        assert got == want
+
+    @given(st.integers(1, 40), st.integers(1, 6), st.integers(1, 30),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=60)
+    def test_index_order_equals_lexsort(self, n_ent, n_rel, horizon, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 120))
+        # few distinct values per field, so rows tie on every prefix of the key
+        quads = [
+            Quadruple(*map(int, row)) for row in zip(
+                rng.integers(0, n_ent, n), rng.integers(0, n_rel, n),
+                rng.integers(0, n_ent, n), rng.integers(0, horizon, n))
+        ]
+        self._assert_index_in_lexsort_order(TemporalKG(
+            Vocabulary.integers(n_ent), Vocabulary.integers(n_rel), quads, horizon))
+
+    def test_index_order_where_the_packed_key_would_wrap(self):
+        # 10**2 x 2**55 x 3 exceeds int64, so the index falls back to lexsort
+        n_ent, n_rel, horizon = 10, 3, 2**55
+        assert n_ent * n_ent * (horizon + 1) * n_rel > np.iinfo(np.int64).max
+        rng = np.random.default_rng(6)
+        quads = [
+            Quadruple(*map(int, row)) for row in zip(
+                rng.integers(0, n_ent, 80), rng.integers(0, n_rel, 80),
+                rng.integers(0, n_ent, 80), rng.integers(horizon - 4, horizon, 80))
+        ]
+        self._assert_index_in_lexsort_order(TemporalKG(
+            Vocabulary.integers(n_ent), Vocabulary.integers(n_rel), quads, horizon))
+
 
 class TestTemporalNeighbors:
     """The live slots of ``neighbor_arrays`` for one entity and time."""
