@@ -11,6 +11,7 @@ import numpy as np
 
 from .numerics import (
     ParamDict,
+    row_chunks,
     softmax_rows_backward,
     unit_rows,
     unit_rows_backward,
@@ -79,23 +80,31 @@ def temporal_integrate_batch_fwd(
 
     Row t of each output depends only on trajectory rows 1..t. The cache
     holds the caller's ``trajs`` and the attention weights only; the
-    backward projects q, k and v again.
+    backward projects q, k and v again. Rows are independent, so q and k
+    are formed over ``row_chunks`` and their scores written into the
+    weights, then v is formed over them and written into the output: no
+    other (n, T, T) or (n, T, d) block is built.
     """
     if trajs.ndim != 3 or trajs.shape[1] == 0:
         raise ValueError("empty trajectory")
-    d = trajs.shape[-1]
-    q = trajs @ ap.temporal_WQ
-    k = trajs @ ap.temporal_WK
-    scores = q @ k.transpose(0, 2, 1)
-    del q, k
-    scores /= np.sqrt(d)
-    beta = _causal_softmax(scores)
-    out = beta @ (trajs @ ap.temporal_WV)
+    n, t_len, d = trajs.shape
+    chunks = row_chunks(n)
+    beta = np.empty((n, t_len, t_len))
+    for part in chunks:
+        x = trajs[part]
+        scores = np.matmul(
+            x @ ap.temporal_WQ, (x @ ap.temporal_WK).transpose(0, 2, 1),
+            out=beta[part],
+        )
+        scores /= np.sqrt(d)
+        _causal_softmax(scores)
+    out = np.empty_like(trajs)
+    for part in chunks:
+        np.matmul(beta[part], trajs[part] @ ap.temporal_WV, out=out[part])
     return out, {"trajs": trajs, "beta": beta}
 
 
-# rows per chunk of a trajectory-only integration backward
-_BWD_ROWS = 256
+_PROJECTIONS = ("temporal_WQ", "temporal_WK", "temporal_WV")
 
 
 def temporal_integrate_batch_bwd(
@@ -109,41 +118,67 @@ def temporal_integrate_batch_bwd(
     ``grads`` is given, accumulate the attention-parameter grads into it.
 
     A caller that keeps only one of the two skips the other's products. v,
-    k and q are recomputed from ``trajs`` one at a time: the parameters do
-    not change between a forward and its backward. Rows are independent, so
-    the trajectory gradient alone runs over chunks of ``_BWD_ROWS`` rows;
-    the parameter tensordots sum over all rows and are never chunked.
+    k and q are recomputed from ``trajs`` over ``row_chunks``: the
+    parameters do not change between a forward and its backward. Every
+    per-row product runs one chunk at a time. The trajectory gradient alone
+    needs nothing larger; with ``grads``, the score gradient and one
+    projection's gradient at a time fill whole (n, T, T) and (n, T, d)
+    buffers, so each parameter gradient is one tensordot over all rows.
     """
     trajs, beta = cache["trajs"], cache["beta"]
-    if grads is None and traj_grad and len(trajs) > _BWD_ROWS:
-        out = np.empty_like(trajs)
-        for lo in range(0, len(trajs), _BWD_ROWS):
-            part = slice(lo, lo + _BWD_ROWS)
-            out[part] = temporal_integrate_batch_bwd(
-                grad_out[part], {"trajs": trajs[part], "beta": beta[part]}, ap
-            )
-        return out
-    d = trajs.shape[-1]
-    grad_trajs = None
+    scale = np.sqrt(trajs.shape[-1])
+    chunks = row_chunks(len(trajs))
+    grad_trajs = np.empty_like(trajs) if traj_grad else None
 
-    def take(name: str, g_proj: np.ndarray) -> None:
-        # one projection's share of both gradients, summed in Q, K, V order
-        nonlocal grad_trajs
-        if grads is not None:
-            grads[name] += np.tensordot(trajs, g_proj, axes=([0, 1], [0, 1]))
+    def g_scores_at(part: slice, out=None) -> np.ndarray:
+        g = np.matmul(
+            grad_out[part], (trajs[part] @ ap.temporal_WV).transpose(0, 2, 1),
+            out=out,
+        )
+        softmax_rows_backward(beta[part], g)  # d beta -> d scores
+        g /= scale
+        return g
+
+    def g_proj_at(name: str, part: slice, g_scores, out=None) -> np.ndarray:
+        # d loss / d (trajs @ name) over the rows of ``part``
+        x = trajs[part]
+        if name == "temporal_WQ":
+            return np.matmul(g_scores, x @ ap.temporal_WK, out=out)
+        if name == "temporal_WK":
+            return np.matmul(
+                g_scores.transpose(0, 2, 1), x @ ap.temporal_WQ, out=out
+            )
+        return np.matmul(beta[part].transpose(0, 2, 1), grad_out[part], out=out)
+
+    def take_traj(name: str, part: slice, g_proj: np.ndarray) -> None:
+        # one projection's share, summed in Q, K, V order
+        term = g_proj @ getattr(ap, name).T
+        if name == _PROJECTIONS[0]:
+            grad_trajs[part] = term
+        else:
+            grad_trajs[part] += term
+
+    if grads is None:
         if traj_grad:
-            term = g_proj @ getattr(ap, name).T
-            grad_trajs = term if grad_trajs is None else np.add(
-                grad_trajs, term, out=grad_trajs
-            )
+            for part in chunks:
+                g_scores = g_scores_at(part)
+                for name in _PROJECTIONS:
+                    take_traj(name, part, g_proj_at(name, part, g_scores))
+        return grad_trajs
 
-    g_scores = grad_out @ (trajs @ ap.temporal_WV).transpose(0, 2, 1)  # d beta
-    softmax_rows_backward(beta, g_scores)
-    g_scores /= np.sqrt(d)
-    take("temporal_WQ", g_scores @ (trajs @ ap.temporal_WK))
-    take("temporal_WK", g_scores.transpose(0, 2, 1) @ (trajs @ ap.temporal_WQ))
-    del g_scores
-    take("temporal_WV", beta.transpose(0, 2, 1) @ grad_out)
+    g_scores = np.empty_like(beta)
+    for part in chunks:
+        g_scores_at(part, out=g_scores[part])
+    g_proj = np.empty_like(trajs)
+    for name in _PROJECTIONS:
+        if name == "temporal_WV":
+            g_scores = None  # the value gradient reads the weights instead
+        for part in chunks:
+            g_s = None if g_scores is None else g_scores[part]
+            g_proj_at(name, part, g_s, out=g_proj[part])
+            if traj_grad:
+                take_traj(name, part, g_proj[part])
+        grads[name] += np.tensordot(trajs, g_proj, axes=([0, 1], [0, 1]))
     return grad_trajs
 
 
@@ -202,13 +237,17 @@ def alignment_loss_fwd(
     rng: np.random.Generator,
     uniform_strength: bool = False,
     strength_override: np.ndarray | None = None,
+    *,
+    u_tgt: np.ndarray,
 ) -> tuple[float, dict]:
     """Strength-weighted margin loss over alignment pairs.
 
     ``source_trajs`` is (P, T, d), one trajectory per pair (teacher side),
     integrated here; ``h_tgt`` is the caller's (n_targets, T, d) integration
-    of the whole target vocabulary, so sampled negatives can index it and
-    one integration serves every pair set of a step. The strength weight is
+    of the whole target vocabulary and ``u_tgt`` its ``unit_rows``, so
+    sampled negatives can index them and one integration and one unit-row
+    block serve every pair set of a step. The cache refers to ``u_tgt``
+    and builds no copy of it. The strength weight is
     a constant in the gradient (detached): it scales the hinge but is not
     itself optimized, which blocks the degenerate all-zero-strength solution.
     ``strength_override`` freezes the weights explicitly (used by the
@@ -232,7 +271,6 @@ def alignment_loss_fwd(
     safe_negs = np.where(valid, negs, 0)
 
     u_src, n_src = unit_rows(h_src)  # (P, T, d)
-    u_tgt, n_tgt = unit_rows(h_tgt)  # (n_targets, T, d)
     t_len = u_src.shape[1]
     rows = np.arange(p)
     g_pos = np.empty((p, t_len))
@@ -258,7 +296,7 @@ def alignment_loss_fwd(
     loss = float((beta[:, None, :] * hinge).sum() * weight)
     cache = {
         "cache_src": cache_src,
-        "u_src": u_src, "n_src": n_src, "u_tgt": u_tgt, "n_tgt": n_tgt,
+        "u_src": u_src, "n_src": n_src, "u_tgt": u_tgt,
         "beta": beta, "hinge": hinge, "valid": valid, "safe_negs": safe_negs,
         "pair_targets": pair_targets, "weight": weight,
     }
@@ -267,10 +305,11 @@ def alignment_loss_fwd(
 
 def alignment_loss_bwd(
     cache: dict, ap: AlignParams, grads: ParamDict | None = None,
-    scale: float = 1.0,
+    scale: float = 1.0, g_u_tgt: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Return d (scale * loss) / d target unit rows ``cache["u_tgt"]``, and,
-    if ``grads`` is given, accumulate the source side's share of the
+    """Return d (scale * loss) / d target unit rows ``cache["u_tgt"]``,
+    added into ``g_u_tgt`` if given and returned as a new array otherwise,
+    and, if ``grads`` is given, accumulate the source side's share of the
     parameter gradients, times ``scale``, into it. Without ``grads`` (a
     frozen module) nothing of the source side's backward runs; the source
     trajectories belong to the frozen teacher, so their gradient is never
@@ -278,7 +317,8 @@ def alignment_loss_bwd(
 
     The caller carries the returned gradient through ``unit_rows_backward``
     and the target integration's backward, so gradients of several pair
-    sets over one target integration can be summed first. Per time step,
+    sets over one target integration are summed in one buffer first, in
+    the order the sets' backwards run. Per time step,
     one weighted ``bincount`` sums the hinge gradients into a (P, n_targets)
     cosine-gradient block (duplicate negatives add up), which two matmuls
     carry to both sides' unit rows.
@@ -293,7 +333,9 @@ def alignment_loss_bwd(
     g_hinge = beta[:, None, :] * (hinge > 0.0) * (cache["weight"] * scale)
     g_pos = g_hinge.sum(axis=1).T  # (T, P)
     cells = (rows[:, None] * n_targets + cache["safe_negs"]).ravel()
-    g_u_tgt = np.empty_like(u_tgt)
+    add = g_u_tgt is not None
+    if not add:
+        g_u_tgt = np.empty_like(u_tgt)
     g_u_src = None if grads is None else np.empty_like(u_src)
     for t in range(t_len):
         g_sim = np.bincount(
@@ -302,7 +344,10 @@ def alignment_loss_bwd(
         g_sim[rows, pair_targets] -= g_pos[t]
         if g_u_src is not None:
             np.matmul(g_sim, u_tgt[:, t], out=g_u_src[:, t])
-        np.matmul(g_sim.T, u_src[:, t], out=g_u_tgt[:, t])
+        if add:
+            g_u_tgt[:, t] += g_sim.T @ u_src[:, t]
+        else:
+            np.matmul(g_sim.T, u_src[:, t], out=g_u_tgt[:, t])
     del g_sim, g_hinge
 
     if g_u_src is not None:

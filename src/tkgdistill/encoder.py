@@ -9,8 +9,9 @@ A cache keeps only what the backward cannot gather again: the neighbor
 index arrays, attention weights, the (n, d) aggregate, the ReLU mask and
 the dropout mask. The backward gathers the centre and neighbor rows of
 ``entity_emb`` again, which gives the forward's values because the
-parameters do not change between a forward and its backward. So a
-trajectory of 28 steps keeps no (n, b, d) block per step.
+parameters do not change between a forward and its backward. A trajectory
+of 28 steps keeps none of its steps' caches: its backward rebuilds each
+one, by the same argument, just before that step's backward.
 
 Neither direction builds one either: both gather neighbor rows one slice
 of ``ceil(n / b)`` rows (at least 256) at a time, so a gathered slice is
@@ -340,19 +341,30 @@ def encode_trajectories_fwd(
     t_max: int,
     b: int = 8,
 ) -> tuple[np.ndarray, dict]:
-    """(n, t_max, d) trajectories over times 1..t_max for all ``ids``."""
+    """(n, t_max, d) trajectories over times 1..t_max for all ``ids``.
+
+    The cache names only the graph, the ids and ``b``: no step's encoder
+    cache outlives its step, and ``encode_trajectories_bwd`` builds each
+    one again.
+    """
     if t_max < 1 or t_max > kg.horizon:
         raise ValueError(f"t_max must be in [1, horizon], got {t_max}")
     ids = np.asarray(ids, dtype=np.int64)
     out = np.zeros((len(ids), t_max, params.dim))
-    caches = []
     for t in range(1, t_max + 1):
-        h, cache = encode_batch_fwd(params, kg, ids, t, b)
-        out[:, t - 1] = h
-        caches.append(cache)
-    return out, {"caches": caches}
+        out[:, t - 1] = encode_batch_fwd(params, kg, ids, t, b)[0]
+    return out, {"kg": kg, "ids": ids, "b": b}
 
 
 def encode_trajectories_bwd(grad_traj, cache, params, grads) -> None:
-    for t_idx, sub in enumerate(cache["caches"]):
+    """Backward of ``encode_trajectories_fwd``, one step at a time.
+
+    Each step's encoder cache is rebuilt just before its backward: a
+    trajectory draws no dropout, so with the forward's parameters and graph
+    the rebuilt cache is the forward's bit for bit, and only one step's
+    cache is alive at a time.
+    """
+    kg, ids, b = cache["kg"], cache["ids"], cache["b"]
+    for t_idx in range(grad_traj.shape[1]):
+        _, sub = encode_batch_fwd(params, kg, ids, t_idx + 1, b)
         encode_batch_bwd(grad_traj[:, t_idx], sub, params, grads)

@@ -124,14 +124,30 @@ def cosine_rows_guarded(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.clip((uu * uv).sum(axis=-1), -1.0, 1.0)
 
 
+# leading rows per chunk of a per-row temporary: the unit rows' norms and
+# products here, the temporal integration's projections and scores
+CHUNK_ROWS = 64
+
+
+def row_chunks(n: int) -> list[slice]:
+    """Slices of ``CHUNK_ROWS`` leading rows over ``n`` rows, the last short."""
+    return [slice(lo, lo + CHUNK_ROWS) for lo in range(0, n, CHUNK_ROWS)]
+
+
 def unit_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``h`` scaled to unit length along the last axis, and their norms.
 
     ``norms`` keeps the last axis as 1; a zero row stays zero. Unlike in
     ``cosine_rows_guarded``, the norm is unscaled: this is on the training hot
-    path, where rows sit far from the subnormal range.
+    path, where rows sit far from the subnormal range. The norms are taken
+    over ``row_chunks``, so their squares never fill an array of ``h``'s
+    size; each row's norm is the same bit for bit.
     """
-    norms = np.linalg.norm(h, axis=-1, keepdims=True)
+    rows = np.atleast_2d(h)
+    norms = np.empty(rows.shape[:-1] + (1,))
+    for part in row_chunks(len(rows)):
+        norms[part] = np.linalg.norm(rows[part], axis=-1, keepdims=True)
+    norms = norms.reshape(h.shape[:-1] + (1,))
     return np.divide(h, norms, out=np.zeros_like(h), where=norms > 0), norms
 
 
@@ -142,9 +158,13 @@ def unit_rows_backward(
     written over ``g_u`` and returned.
 
     The gradient is ``g_u`` minus its component along ``u``, divided by the
-    norm; zero rows get zero gradient.
+    norm; zero rows get zero gradient. The component is removed over
+    ``row_chunks``, as ``unit_rows`` takes its norms.
     """
-    g_u -= (g_u * u).sum(axis=-1, keepdims=True) * u
+    g_rows, u_rows = np.atleast_2d(g_u), np.atleast_2d(u)
+    for part in row_chunks(len(g_rows)):
+        g, v = g_rows[part], u_rows[part]
+        g -= (g * v).sum(axis=-1, keepdims=True) * v
     live = norms > 0
     np.divide(g_u, norms, out=g_u, where=live)
     np.copyto(g_u, 0.0, where=~live)

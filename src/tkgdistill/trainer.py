@@ -322,11 +322,13 @@ def _alignment_terms(
     Returns (loss, align_grads, grad wrt target trajectories); a gradient
     the caller does not ask for is None and its backward work is skipped.
     The alignment fit asks for ``param_grads`` only, the distillation
-    channel for ``traj_grad`` only. The targets are integrated once for
-    both pair sets, and the sets' weighted unit-row gradients are summed
-    before one backward through that integration.
+    channel for ``traj_grad`` only. The targets are integrated and
+    normalised once for both pair sets, and the sets' weighted unit-row
+    gradients are summed in one buffer before one backward through that
+    integration.
     """
     h_tgt, tgt_cache = temporal_integrate_batch_fwd(align, target_trajs)
+    u_tgt, n_tgt = unit_rows(h_tgt)
     loss = 0.0
     terms = []
     for idx, (pairs, w) in enumerate(zip((gt_pairs, ps_pairs), weights)):
@@ -338,6 +340,7 @@ def _alignment_terms(
             align, source_traj_bank[src], h_tgt, tgt, excl,
             cfg.alignment_negatives, cfg.margin_alignment, rng,
             uniform_strength=cfg.uniform_strength, strength_override=override,
+            u_tgt=u_tgt,
         )
         loss += w * term
         terms.append((w, cache))
@@ -347,12 +350,11 @@ def _alignment_terms(
     align_grads = align.zero_grads() if param_grads else None
     g_u = None
     for w, cache in terms:
-        part = alignment_loss_bwd(cache, align, align_grads, w)
-        g_u = part if g_u is None else np.add(g_u, part, out=g_u)
-    unit_rows_backward(g_u, cache["u_tgt"], cache["n_tgt"])  # now d loss / d h
+        g_u = alignment_loss_bwd(cache, align, align_grads, w, g_u)
+    unit_rows_backward(g_u, u_tgt, n_tgt)  # now d loss / d h
     # the unit rows go, as the integrated targets went after the forwards,
     # before the integration's backward builds its temporaries
-    del terms, cache, part
+    del terms, cache, u_tgt, n_tgt
     grad_tgt = temporal_integrate_batch_bwd(
         g_u, tgt_cache, align, align_grads, traj_grad
     )
@@ -692,9 +694,11 @@ def train_mpkd(
             )
             del chan_trajs
             grads = student.zero_grads()
+            # rebuilds each step's encoder cache: nothing has changed the
+            # student or the union graph since the forward
             encode_trajectories_bwd(grad_tgt, traj_cache, student, grads)
-            # the per-step caches would otherwise live on through the pseudo
-            # round and validation
+            # the (n, T, d) gradient would otherwise live on through the
+            # pseudo round and validation
             del traj_cache, grad_tgt
             adam_step(student.trainable(), grads, state.adam_student,
                       cfg.learning_rate)

@@ -6,6 +6,10 @@ one reused buffer; these forms gather each batch's whole ``(rows, b, d)``
 neighbour block and keep the gathered ``(F, N, d)`` negatives in the loss
 cache, as the package did before. The tests hold the two forms bitwise
 equal: outputs, caches and every gradient.
+
+The trajectory forms keep every step's encoder cache from the forward to
+the backward, as the package did before it rebuilt each step's cache in
+the backward.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from tkgdistill import encoder
 from tkgdistill.encoder import (
     _sum_by,
     dropout_mask,
@@ -169,3 +174,19 @@ def reasoning_loss_bwd(cache, params, grads) -> None:
     )
     add_rows_at(grads["relation_emb"], forms[:, 1], g_rel)
     encode_many_bwd(grad_reps, cache["enc_cache"], params, grads)
+
+
+def encode_trajectories_fwd(params, kg, ids, t_max, b=8):
+    ids = np.asarray(ids, dtype=np.int64)
+    out = np.zeros((len(ids), t_max, params.dim))
+    caches = []
+    for t in range(1, t_max + 1):
+        h, cache = encoder.encode_batch_fwd(params, kg, ids, t, b)
+        out[:, t - 1] = h
+        caches.append(cache)
+    return out, {"caches": caches}
+
+
+def encode_trajectories_bwd(grad_traj, cache, params, grads) -> None:
+    for t_idx, sub in enumerate(cache["caches"]):
+        encoder.encode_batch_bwd(grad_traj[:, t_idx], sub, params, grads)

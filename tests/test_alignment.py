@@ -10,16 +10,17 @@ from alignment_reference import (
     alignment_step,
     alignment_strength,
     correspondence,
+    integrate_whole_bwd,
+    integrate_whole_fwd,
     temporal_integrate,
 )
 from tkgdistill.alignment import (
-    _BWD_ROWS,
     init_align_params,
     strength_diagonal,
     temporal_integrate_batch_bwd,
     temporal_integrate_batch_fwd,
 )
-from tkgdistill.numerics import grad_check, softmax_masked
+from tkgdistill.numerics import CHUNK_ROWS, grad_check, softmax_masked
 
 
 def small_traj(rng, n, t_len, d, scale=0.7):
@@ -90,16 +91,47 @@ class TestTemporalIntegrate:
                 assert (beta[:, i, j] == 0).all()
 
     def test_trajectory_only_backward_in_chunks_is_bitwise(self):
-        # more rows than two chunks, the last one short; the full-batch
-        # path runs whenever parameter gradients are asked for too
+        # more rows than two chunks, the last one short; the path that also
+        # takes parameter gradients fills its buffers in the same chunks
         ap = init_align_params(8, seed=2)
         rng = np.random.default_rng(3)
-        trajs = rng.normal(size=(2 * _BWD_ROWS + 37, 6, 8))
+        trajs = rng.normal(size=(2 * CHUNK_ROWS + 37, 6, 8))
         _, cache = temporal_integrate_batch_fwd(ap, trajs)
         grad_out = rng.normal(size=trajs.shape)
         chunked = temporal_integrate_batch_bwd(grad_out, cache, ap)
         whole = temporal_integrate_batch_bwd(grad_out, cache, ap, ap.zero_grads())
         assert np.array_equal(chunked, whole)
+        _, whole_cache = integrate_whole_fwd(ap, trajs)
+        want = integrate_whole_bwd(grad_out, whole_cache, ap, ap.zero_grads())
+        assert np.array_equal(chunked, want)
+
+    def test_forward_in_chunks_is_bitwise(self):
+        ap = init_align_params(8, seed=2)
+        trajs = np.random.default_rng(4).normal(size=(2 * CHUNK_ROWS + 37, 6, 8))
+        out, cache = temporal_integrate_batch_fwd(ap, trajs)
+        want, want_cache = integrate_whole_fwd(ap, trajs)
+        assert np.array_equal(out, want)
+        assert np.array_equal(cache["beta"], want_cache["beta"])
+        assert cache["trajs"] is trajs
+
+    @pytest.mark.parametrize("traj_grad", [False, True])
+    def test_parameter_backward_in_chunks_is_bitwise(self, traj_grad):
+        # the parameter gradients sum over every row in one tensordot per
+        # projection, so they match the whole-block form bit for bit
+        ap = init_align_params(8, seed=2)
+        rng = np.random.default_rng(5)
+        trajs = rng.normal(size=(2 * CHUNK_ROWS + 37, 6, 8))
+        grad_out = rng.normal(size=trajs.shape)
+        _, cache = temporal_integrate_batch_fwd(ap, trajs)
+        grads, want_grads = ap.zero_grads(), ap.zero_grads()
+        got = temporal_integrate_batch_bwd(grad_out, cache, ap, grads, traj_grad)
+        want = integrate_whole_bwd(grad_out, cache, ap, want_grads, traj_grad)
+        for name in want_grads:
+            assert np.array_equal(grads[name], want_grads[name]), name
+        if traj_grad:
+            assert np.array_equal(got, want)
+        else:
+            assert got is None and want is None
 
 
 class TestCorrespondence:

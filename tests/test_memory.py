@@ -4,13 +4,16 @@ faults of repeated steps.
 
 The encoder's backward gathers embedding rows again instead of keeping the
 forward's copies, so a cache holds index arrays, attention weights, the
-aggregate and a ReLU mask: nothing with b * d values per row. Both
+aggregate and a ReLU mask: nothing with b * d values per row. A trajectory
+keeps no step's cache at all: its backward rebuilds each one. Both
 directions gather neighbour rows one row slice at a time, and the reasoning
 loss scores its negatives in one buffer it does not keep. The alignment
 loss scores one time step at a time, so no (T, P, n_targets) block is built,
-and temporal integration caches only its input and attention weights. An
-alignment step integrates the targets once and runs only the backward its
-caller keeps. Evaluation holds one test step's encoding per worker.
+and temporal integration caches only its input and attention weights and
+forms its per-row temporaries over 64-row chunks, as the unit rows do. An
+alignment step integrates and normalises the targets once and runs only the
+backward its caller keeps. Evaluation holds one test step's encoding per
+worker.
 """
 
 import functools
@@ -58,19 +61,19 @@ def _traced_peak(fn) -> int:
 
 
 def test_trajectory_cache_holds_no_gathered_rows():
-    # paper dims: 200 target entities, 28 training steps, d = 128, b = 8
+    # paper dims: 200 target entities, 28 training steps, d = 128, b = 8;
+    # the backward rebuilds each step's cache, so the forward keeps none:
+    # its cache names the graph, the ids and b, and holds no per-step array
     kg = generate_synthetic_pair(GeneratorConfig(coverage=0.3), 0).target_incomplete
     n, t_max, d, b = len(kg.entities), 28, 128, 8
     params = init_network_params(n, len(kg.relations), d, seed=0)
-    traj, cache = encode_trajectories_fwd(params, kg, np.arange(n), t_max, b)
+    ids = np.arange(n)
+    traj, cache = encode_trajectories_fwd(params, kg, ids, t_max, b)
     assert traj.shape == (n, t_max, d)
-    assert len(cache["caches"]) == t_max
-    for step in cache["caches"]:
-        for arr in _arrays(step):
-            assert arr.size < n * b * d, arr.shape
-    held = sum(a.nbytes for step in cache["caches"] for a in _arrays(step))
-    # the gathered (n, b, d) neighbour blocks alone would be 45.9 MB
-    assert held < 16 * MB, held / MB
+    assert cache.keys() == {"kg", "ids", "b"}
+    assert cache["kg"] is kg and cache["b"] == b
+    assert np.array_equal(cache["ids"], ids)
+    assert [a.size for a in _arrays(cache)] == [n]
 
 
 RUN_CONFIGS = {
@@ -165,9 +168,25 @@ def test_scale5x_run_peak_is_bounded():
 
 def test_scale5x_run_peak_with_chunked_channel_backward():
     """The distillation channel's trajectory-only integration backward runs
-    over 256-row chunks; it held the peak at 70 MiB over all 1,000 rows."""
+    over row chunks; it held the peak at 70 MiB over all 1,000 rows."""
     peak = _run_peak("scale5x")
     assert peak < 64 * MB, peak / MB
+
+
+def test_scale5x_run_peak_with_rebuilt_trajectory_caches():
+    """The trajectory backward rebuilds each step's encoder cache instead of
+    keeping 28, and the integration and unit rows work over 64-row chunks;
+    the distillation channel held the peak at 60.9 MiB while they did not."""
+    peak = _run_peak("scale5x")
+    assert peak < 48 * MB, peak / MB
+
+
+def test_paper_dims_run_peak_with_rebuilt_trajectory_caches():
+    """As for scale5x: the distillation channel held the paper_dims peak at
+    54.4 MiB while it kept 28 per-step encoder caches and whole-vocabulary
+    integration temporaries."""
+    peak = _run_peak("paper_dims")
+    assert peak < 50 * MB, peak / MB
 
 
 def test_scale5x_run_peak_with_one_target_integration():

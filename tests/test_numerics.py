@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alignment_reference import unit_rows_backward_whole, unit_rows_whole
 from tkgdistill.numerics import (
+    CHUNK_ROWS,
     AdamState,
     adam_step,
     add_rows_at,
@@ -11,6 +13,8 @@ from tkgdistill.numerics import (
     cosine_rows_guarded,
     grad_check,
     softmax_masked,
+    unit_rows,
+    unit_rows_backward,
 )
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -98,6 +102,29 @@ class TestCosine:
         got = cosine_rows_guarded(2.0 * rows_u, np.stack([v, v]))
         assert abs(got[0] - cosine_rows_guarded(u, v)) <= 1e-12
         assert got[1] == 0.0
+
+
+class TestUnitRows:
+    @pytest.mark.parametrize(
+        "shape", [(2 * CHUNK_ROWS + 37, 6, 8), (2 * CHUNK_ROWS + 37, 8), (8,)]
+    )
+    def test_chunked_forms_are_bitwise(self, shape):
+        # more leading rows than two chunks, the last one short, with zero
+        # rows; a single vector is one row
+        rng = np.random.default_rng(6)
+        h = rng.normal(size=shape)
+        if h.ndim > 1:
+            h[::7] = 0.0
+        u, norms = unit_rows(h)
+        want_u, want_norms = unit_rows_whole(h)
+        assert np.array_equal(u, want_u) and np.array_equal(norms, want_norms)
+        assert norms.shape == want_norms.shape
+
+        g_u = rng.normal(size=shape)
+        want = unit_rows_backward_whole(g_u.copy(), u, norms)
+        got = unit_rows_backward(g_u, u, norms)
+        assert got is g_u
+        assert np.array_equal(got, want)
 
 
 class TestGradCheck:

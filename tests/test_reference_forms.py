@@ -1,7 +1,9 @@
 """The sliced encoder kernel and the buffered reasoning loss against their
 whole-block forms (``reasoning_reference``): outputs, caches and every
 gradient are bitwise equal at shapes with more rows than one slice, with
-dropout on, padded neighbor slots and rows without history.
+dropout on, padded neighbor slots and rows without history. The trajectory
+backward, which rebuilds each step's cache, matches the form that keeps
+them.
 """
 
 import numpy as np
@@ -13,6 +15,8 @@ from tkgdistill.encoder import (
     _row_slices,
     encode_batch_bwd,
     encode_batch_fwd,
+    encode_trajectories_bwd,
+    encode_trajectories_fwd,
     init_network_params,
 )
 from tkgdistill.scoring import (
@@ -100,4 +104,25 @@ def test_reasoning_loss_matches_whole_block_form(seed):
     assert loss == want_loss
     assert np.array_equal(want_cache.pop("h_n"), cache["reps"][cache["neg_rows"]])
     _assert_caches_equal(cache, want_cache)
+    _assert_grads_equal(grads, want_grads)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_trajectory_backward_rebuilding_step_caches_matches_kept_caches(seed):
+    kg, params = _kg_and_params(seed)
+    ids = np.arange(params.n_entities)
+    t_max, b = kg.horizon, 6
+    # early steps have rows without history, and most rows pad some slots
+    first = encode_batch_fwd(params, kg, ids, 1, b)[1]
+    assert (~first["has_nb"]).any() and (~first["mask"][first["has_nb"]]).any()
+
+    traj, cache = encode_trajectories_fwd(params, kg, ids, t_max, b)
+    want, want_cache = ref.encode_trajectories_fwd(params, kg, ids, t_max, b)
+    assert np.array_equal(traj, want)
+    assert len(want_cache["caches"]) == t_max
+
+    grad_traj = np.random.default_rng(seed).normal(size=traj.shape)
+    grads, want_grads = params.zero_grads(), params.zero_grads()
+    encode_trajectories_bwd(grad_traj, cache, params, grads)
+    ref.encode_trajectories_bwd(grad_traj, want_cache, params, want_grads)
     _assert_grads_equal(grads, want_grads)
