@@ -105,8 +105,8 @@ def _load_bilingual(args, target_horizon: int):
     for vocab in (source.entities, target.entities, source.relations):
         vocab.frozen = True
     return (
-        source.with_quadruples(source.quadruples),
-        target.with_quadruples(target.quadruples),
+        source.with_quadruples(source.events),
+        target.with_quadruples(target.events),
         alignments,
     )
 
@@ -169,7 +169,7 @@ def cmd_eval(args) -> int:
     history = load_quadruples(args.history, ckpt.target_entities, ckpt.relations)
     test = load_quadruples(args.test, ckpt.target_entities, ckpt.relations)
     report = evaluate(
-        ckpt.student, history, list(test.quadruples),
+        ckpt.student, history, test.events,
         b=args.neighbors, config_digest=ckpt.config_digest,
         seed=ckpt.seed if args.seed is None else args.seed,
         threads=args.threads,

@@ -156,60 +156,57 @@ def transfer_events(
     rank_subject_fn,
     horizon: int,
     round_index: int = 0,
-    already: set[Quadruple] | None = None,
 ) -> list[TransferRecord]:
     """Map source events of aligned entities into the target graph.
 
     When both endpoints are aligned the event maps directly; otherwise the
     student ranks the open slot and the top candidate completes the event
     (``rank_object_fn(e, r, t)`` / ``rank_subject_fn(r, e, t)`` both return
-    the argmax target entity). Duplicates of existing or previously
-    transferred quadruples are skipped.
+    the argmax target entity). Duplicates of the target graph's events, or
+    of events this call has already transferred, are skipped.
     """
     if len(alignments) == 0:
         raise ValueError("transfer requires at least one alignment pair")
     src_to_tgt: dict[int, int] = {}
     for p in sorted(alignments, key=lambda p: (p.source_entity, p.target_entity)):
         src_to_tgt.setdefault(p.source_entity, p.target_entity)
-    present: set[Quadruple] = set(target_kg.quadruples)
-    if already:
-        present |= already
-    shared_relations = len(target_kg.relations)
+    present = set(map(tuple, target_kg.events.tolist()))
 
-    # each aligned source's eligible events, in quadruple order. An event is
-    # listed under its subject when that is aligned (self-loops included) and
-    # otherwise under its object, so the pass below emits it at most once.
-    events: dict[int, list[Quadruple]] = {e: [] for e in src_to_tgt}
-    for q in source_kg.quadruples:
-        if q.time >= horizon or q.relation >= shared_relations:
-            continue
-        if q.subject in events:
-            events[q.subject].append(q)
-        elif q.object in events:
-            events[q.object].append(q)
+    # An event belongs to its subject when that is aligned (self-loops
+    # included) and otherwise to its object, so it is emitted at most once.
+    # Eligible events go by aligned source, then in quadruple order.
+    s, r, o, t = source_kg.events.T
+    aligned = np.fromiter(src_to_tgt, np.int64, len(src_to_tgt))
+    by_subject = np.isin(s, aligned)
+    eligible = (
+        (t < horizon) & (r < len(target_kg.relations))
+        & (by_subject | np.isin(o, aligned))
+    )
+    owner = np.where(by_subject, s, o)[eligible]
+    rows = source_kg.events[eligible][np.argsort(owner, kind="stable")]
 
     records: list[TransferRecord] = []
-    for e_s in sorted(src_to_tgt):
-        e_t = src_to_tgt[e_s]
-        for q in events[e_s]:
-            if q.subject == e_s:
-                if q.object in src_to_tgt:
-                    mapped = Quadruple(e_t, q.relation, src_to_tgt[q.object], q.time)
-                    mech = "alignment-lookup"
-                else:
-                    top = rank_object_fn(e_t, q.relation, q.time)
-                    if top is None:  # completion below the confidence gate
-                        continue
-                    mapped = Quadruple(e_t, q.relation, int(top), q.time)
-                    mech = "student-top1"
+    for q in map(Quadruple._make, rows.tolist()):
+        if q.subject in src_to_tgt:
+            e_t = src_to_tgt[q.subject]
+            if q.object in src_to_tgt:
+                mapped = Quadruple(e_t, q.relation, src_to_tgt[q.object], q.time)
+                mech = "alignment-lookup"
             else:
-                top = rank_subject_fn(q.relation, e_t, q.time)
-                if top is None:
+                top = rank_object_fn(e_t, q.relation, q.time)
+                if top is None:  # completion below the confidence gate
                     continue
-                mapped = Quadruple(int(top), q.relation, e_t, q.time)
+                mapped = Quadruple(e_t, q.relation, int(top), q.time)
                 mech = "student-top1"
-            if mapped in present:
+        else:
+            e_t = src_to_tgt[q.object]
+            top = rank_subject_fn(q.relation, e_t, q.time)
+            if top is None:
                 continue
-            present.add(mapped)
-            records.append(TransferRecord(mapped, q, mech, round_index))
+            mapped = Quadruple(int(top), q.relation, e_t, q.time)
+            mech = "student-top1"
+        if mapped in present:
+            continue
+        present.add(mapped)
+        records.append(TransferRecord(mapped, q, mech, round_index))
     return records

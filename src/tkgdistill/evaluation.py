@@ -176,30 +176,31 @@ def rank_query(
 def evaluate(
     params: NetworkParams,
     kg_history: TemporalKG,
-    test_quadruples: list[Quadruple],
+    test_quadruples: np.ndarray | list[Quadruple],
     b: int = 8,
     config_digest: str = "",
     seed: int = 0,
     threads: int = 1,
 ) -> MetricsReport:
-    """Raw MRR / Hits@10 over both query directions of every test quadruple.
+    """Raw MRR / Hits@10 over both query directions of every test quadruple
+    (any (n, 4) array-like), step by step, in input order within a step.
 
     Representations at time t come from history strictly before t; the
     shared encoding cache audits that no later quadruple is ever touched.
     """
-    if not test_quadruples:
+    test = np.asarray(test_quadruples, dtype=np.int64).reshape(-1, 4)
+    if len(test) == 0:
         raise ValueError("empty test set")
     cache = EncodingCache(params, kg_history, b)
-    by_time: dict[int, list[Quadruple]] = {}
-    for q in test_quadruples:
-        by_time.setdefault(q.time, []).append(q)
-
-    times = sorted(by_time)
+    test = test[np.argsort(test[:, 3], kind="stable")]
+    steps, starts = np.unique(test[:, 3], return_index=True)
+    times = steps.tolist()
+    by_time = dict(zip(times, np.split(test[:, :3], starts[1:])))
     results: dict[int, np.ndarray] = {}
 
     def run_time(t: int) -> None:
         # one step's encoding and one direction's (Q, E) scores alive at once
-        subj, rel, obj = np.array(by_time[t], dtype=np.int64)[:, :3].T
+        subj, rel, obj = by_time[t].T
         h_all = cache.at(t)
         ranks = np.empty(2 * len(subj), dtype=np.int64)
         ranks[0::2] = ranks_of(score_object_queries(params, h_all, subj, rel), obj)
@@ -331,23 +332,24 @@ def nce_deviation_sweep(
 def build_nce_toy(
     params: NetworkParams,
     kg: TemporalKG,
-    gt_quads: list[Quadruple],
-    ps_quads: list[Quadruple],
+    gt_quads: np.ndarray | list[Quadruple],
+    ps_quads: np.ndarray | list[Quadruple],
     correct_flags: list[bool],
     b: int = 8,
 ) -> NCEToy:
-    """Score tables from a frozen model; epsilon comes from the known flags."""
+    """Score tables from a frozen model; epsilon comes from the known flags.
+    Both quadruple sets are (n, 4) array-likes."""
     cache = EncodingCache(params, kg, b)
 
     def tables(quads):
-        pos = np.zeros(len(quads))
-        neg = np.zeros((len(quads), params.n_entities))
-        for i, q in enumerate(quads):
-            h_all = cache.at(q.time)
+        rows = np.asarray(quads, dtype=np.int64).reshape(-1, 4).tolist()
+        pos = np.zeros(len(rows))
+        neg = np.zeros((len(rows), params.n_entities))
+        for i, (s, r, o, t) in enumerate(rows):
             scores = score_object_queries(
-                params, h_all, np.array([q.subject]), np.array([q.relation])
+                params, cache.at(t), np.array([s]), np.array([r])
             )[0]
-            pos[i] = scores[q.object]
+            pos[i] = scores[o]
             neg[i] = scores
         return pos, neg
 

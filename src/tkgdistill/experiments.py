@@ -19,7 +19,6 @@ from .evaluation import (
 from .tkg import (
     AlignmentSet,
     GeneratorConfig,
-    Quadruple,
     SyntheticPair,
     generate_synthetic_pair,
     inject_alignment_noise,
@@ -88,7 +87,7 @@ def run_transfer(
     _, _, test_part = split_by_time(pair.target_incomplete, cfg.split())
     history = pair.target_incomplete  # full gt multiset: train + val + test
     report = evaluate(
-        state.student, history, list(test_part.quadruples), cfg.neighbors,
+        state.student, history, test_part.events, cfg.neighbors,
         cfg.digest(), cfg.seed,
     )
     return report, state
@@ -102,7 +101,7 @@ def run_single_model(
     state = train_mpkd(target_kg, target_kg, AlignmentSet([]), solo, teacher=None)
     _, _, test_part = split_by_time(target_kg, cfg.split())
     return evaluate(
-        state.student, target_kg, list(test_part.quadruples), cfg.neighbors,
+        state.student, target_kg, test_part.events, cfg.neighbors,
         cfg.digest(), cfg.seed,
     )
 
@@ -222,23 +221,18 @@ def build_decay_toy(diag: DiagnosticConfig, seed: int = 0):
         len(kg.entities), len(kg.relations), 16, seed + 1, 0.0
     )
     rng = np.random.default_rng(seed + 2)
-    quads = list(kg.quadruples)
-    gt = [quads[i] for i in rng.choice(len(quads), size=24, replace=False)]
+    rows = kg.events.tolist()
+    gt = kg.events[rng.choice(len(rows), size=24, replace=False)]
     n_ps = int(round(diag.pseudo_ratio * len(gt)))
-    picks = rng.choice(len(quads), size=n_ps, replace=True)
-    truth = set(quads)
+    picks = rng.choice(len(rows), size=n_ps, replace=True)
+    truth = set(map(tuple, rows))
     ps, flags = [], []
-    for i, idx in enumerate(picks):
-        q = quads[idx]
-        if rng.random() < diag.pseudo_correct:
-            ps.append(q)
-            flags.append(q in truth)
-        else:
-            corrupt = Quadruple(
-                q.subject, q.relation, int(rng.integers(len(kg.entities))), q.time
-            )
-            ps.append(corrupt)
-            flags.append(corrupt in truth)
+    for idx in picks:
+        s, r, o, t = rows[idx]
+        if rng.random() >= diag.pseudo_correct:
+            o = int(rng.integers(len(kg.entities)))
+        ps.append((s, r, o, t))
+        flags.append((s, r, o, t) in truth)
     return build_nce_toy(params, kg, gt, ps, flags, b=6)
 
 

@@ -45,15 +45,17 @@ def score_quadruple(
     return float(translation_score(reps[0], params.relation_emb[q.relation], reps[1]))
 
 
-def _build_forms(batch: list[Quadruple], params: NetworkParams) -> np.ndarray:
+def _build_forms(batch, params: NetworkParams) -> np.ndarray:
     """(2B, 4) array of (subject, relation-row, object, time) scoring forms:
-    each quadruple as stated, then through its reciprocal relation row."""
+    each quadruple as stated, then through its reciprocal relation row.
+    ``batch`` is any (B, 4) array-like of quadruples."""
     shift = params.n_relations
     if params.relation_emb.shape[0] < 2 * shift:
         raise ValueError("relation table has no reciprocal rows")
-    rows = [(q.subject, q.relation, q.object, q.time) for q in batch]
-    rows += [(q.object, q.relation + shift, q.subject, q.time) for q in batch]
-    return np.asarray(rows, dtype=np.int64)
+    batch = np.asarray(batch, dtype=np.int64).reshape(-1, 4)
+    flipped = batch[:, [2, 1, 0, 3]]
+    flipped[:, 1] += shift
+    return np.concatenate([batch, flipped])
 
 
 def _sample_negatives(
@@ -105,7 +107,7 @@ def _intern_rows(
 def reasoning_loss_fwd(
     params: NetworkParams,
     kg: TemporalKG,
-    batch: list[Quadruple],
+    batch: np.ndarray | list[Quadruple],
     neg_cfg: NegativeSamplerConfig,
     margin: float,
     rng: np.random.Generator,
@@ -114,10 +116,10 @@ def reasoning_loss_fwd(
 ) -> tuple[float, dict]:
     """Mean hinge over the batch and its sampled negatives.
 
-    Every quadruple contributes one form per direction; each form draws
-    ``factor`` negatives replacing the object slot.
+    Every quadruple of ``batch``, any (B, 4) array-like, gives one form per
+    direction; each form draws ``factor`` negatives replacing the object slot.
     """
-    if not batch:
+    if len(batch) == 0:
         raise ValueError("empty batch")
     if margin <= 0:
         raise ValueError("margin must be positive")
@@ -199,7 +201,7 @@ def reasoning_loss_bwd(
 def reasoning_loss(
     params: NetworkParams,
     kg: TemporalKG,
-    batch: list[Quadruple],
+    batch: np.ndarray | list[Quadruple],
     neg_cfg: NegativeSamplerConfig,
     margin: float,
     rng: np.random.Generator | None = None,

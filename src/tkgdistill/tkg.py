@@ -1,9 +1,9 @@
 """Temporal knowledge graph data model, file I/O, splitting, and synthesis.
 
 A graph is a multiset of (subject, relation, object, time) quadruples over
-discrete time steps, plus a sorted CSR neighbor index built once per graph:
-every lookup of an entity's latest neighbors before a time is one binary
-search and one gather.
+discrete time steps, stored as one read-only ``(n, 4)`` int64 block, plus a
+sorted CSR neighbor index built once per graph: every lookup of an entity's
+latest neighbors before a time is one binary search and one gather.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from __future__ import annotations
 import io
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -78,7 +78,14 @@ class Vocabulary:
 
 
 class TemporalKG:
-    """Immutable temporal KG with a sorted CSR neighbor index.
+    """Immutable temporal KG: one event block and a sorted CSR neighbor index.
+
+    ``events`` is the graph's one stored form of its quadruples: a read-only
+    ``(n, 4)`` int64 block of (subject, relation, object, time) rows in input
+    order. The constructor copies an int64 array once; any other iterable of
+    quadruples is read into a block. Every range is checked on the block at
+    once; an error names the first bad quadruple, and within it the entity
+    check comes before the relation and time checks.
 
     The index holds each quadruple twice: once under the subject (with the
     object as neighbor) and once under the object (with the subject as
@@ -91,32 +98,31 @@ class TemporalKG:
     per-node sorted layout (T-CSR) of TGL (Zhou et al., VLDB 2022): memory
     is O(|Q|) whatever the lookup width. Every key, and the end of the last
     entity's run, must fit in int64.
-
-    The quadruples are read into one ``(n, 4)`` int64 block and every range
-    is checked on it at once; an error names the first bad quadruple, and
-    within it the entity check comes before the relation and time checks.
     """
 
     def __init__(
         self,
         entities: Vocabulary,
         relations: Vocabulary,
-        quadruples: Sequence[Quadruple],
+        quadruples: np.ndarray | Iterable[Quadruple],
         horizon: int,
     ):
-        quadruples = tuple(quadruples)
-        n = len(quadruples)
-        try:
-            block = np.fromiter(chain.from_iterable(quadruples), np.int64, 4 * n)
-        except OverflowError:  # a field beyond int64 fails a range or key check below
-            block = np.array(quadruples, dtype=object)
-        s, r, o, t = block.reshape(n, 4).T
+        if not (isinstance(quadruples, np.ndarray) and quadruples.dtype == np.int64):
+            rows = tuple(quadruples)
+            try:
+                quadruples = np.fromiter(
+                    chain.from_iterable(rows), np.int64, 4 * len(rows)
+                )
+            except OverflowError:  # a field beyond int64 fails a range or key check below
+                quadruples = np.array(rows, dtype=object)
+        block = np.array(quadruples).reshape(-1, 4)
+        s, r, o, t = block.T
         bad_ent = (s < 0) | (s >= len(entities)) | (o < 0) | (o >= len(entities))
         bad_rel = (r < 0) | (r >= len(relations))
         bad = bad_ent | bad_rel | (t < 0) | (t >= horizon)
         if bad.any():
             i = int(bad.argmax())
-            q = quadruples[i]
+            q = Quadruple._make(block[i].tolist())
             if bad_ent[i]:
                 raise ValueError(f"entity id out of vocabulary in {q}")
             if bad_rel[i]:
@@ -125,11 +131,11 @@ class TemporalKG:
         if len(entities) * (horizon + 1) > np.iinfo(np.int64).max:
             raise ValueError(f"{len(entities)} entities x horizon {horizon} "
                              "overflow the int64 index key")
+        block.flags.writeable = False
         self.entities = entities
         self.relations = relations
-        self.quadruples = quadruples
+        self.events = block
         self.horizon = horizon
-        self._quad_time = t.copy()  # in input order, for time masks
         ent, nbr = np.concatenate([s, o]), np.concatenate([o, s])
         rel, tim = np.concatenate([r, r]), np.concatenate([t, t])
         n_ent, n_rel = len(entities), len(relations)
@@ -144,6 +150,11 @@ class TemporalKG:
         self._key = ent * (horizon + 1) + tim
         # one zero entry past the end: padded lookup slots gather from it
         self._nbr, self._rel, self._time = (np.append(x, 0) for x in (nbr, rel, tim))
+
+    @property
+    def quadruples(self) -> tuple[Quadruple, ...]:
+        """The events as ``Quadruple`` tuples, built anew on each read."""
+        return tuple(map(Quadruple._make, self.events.tolist()))
 
     def adjacency(self, e: int) -> list[tuple[int, int, int]]:
         """Index entries of ``e`` as (neighbor, relation, time) tuples."""
@@ -177,7 +188,7 @@ class TemporalKG:
         idx = np.where(mask, idx, self._key.size)
         return self._nbr[idx], self._rel[idx], self._time[idx], mask
 
-    def with_quadruples(self, quadruples: Sequence[Quadruple]) -> "TemporalKG":
+    def with_quadruples(self, quadruples: Iterable) -> "TemporalKG":
         return TemporalKG(self.entities, self.relations, quadruples, self.horizon)
 
 
@@ -275,7 +286,7 @@ def load_quadruples(
     relations = relation_vocab if relation_vocab is not None else Vocabulary()
     with entities.undo_on_error(), relations.undo_on_error():
         add_entity, add_relation = entities.add, relations.add
-        quads: list[Quadruple] = []
+        quads: list[tuple[int, int, int, int]] = []
         max_t, max_line = -1, 0
         for lineno, line in numbered_lines(path):
             if line.startswith("#") or not line.strip():
@@ -292,7 +303,7 @@ def load_quadruples(
                     f"{path}:{lineno}: time {t} outside horizon {horizon}"
                 )
             try:
-                quads.append(Quadruple(add_entity(s), add_relation(r), add_entity(o), t))
+                quads.append((add_entity(s), add_relation(r), add_entity(o), t))
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
             if t > max_t:
@@ -307,7 +318,9 @@ def load_quadruples(
 
 def dump_quadruples(kg: TemporalKG, path) -> None:
     ent, rel = kg.entities.symbols(), kg.relations.symbols()
-    text = "".join(f"{ent[s]}\t{rel[r]}\t{ent[o]}\t{t}\n" for s, r, o, t in kg.quadruples)
+    text = "".join(
+        f"{ent[s]}\t{rel[r]}\t{ent[o]}\t{t}\n" for s, r, o, t in kg.events.tolist()
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -377,11 +390,9 @@ def split_by_time(
             f"split spec covers {spec.total_steps} steps but horizon is {kg.horizon}"
         )
     val_end = spec.train_steps + spec.val_steps
-    t = kg._quad_time
+    t = kg.events[:, 3]
     masks = (t < spec.train_steps, (t >= spec.train_steps) & (t < val_end), t >= val_end)
-    return tuple(
-        kg.with_quadruples(tuple(compress(kg.quadruples, m.tolist()))) for m in masks
-    )
+    return tuple(kg.with_quadruples(kg.events[m]) for m in masks)
 
 
 def subsample_events(
@@ -395,10 +406,10 @@ def subsample_events(
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
     rng = np.random.default_rng(seed)
-    keep = rng.random(len(kg.quadruples)) < ratio
+    keep = rng.random(len(kg.events)) < ratio
     if before_step is not None:
-        keep |= kg._quad_time >= before_step
-    return kg.with_quadruples(tuple(compress(kg.quadruples, keep.tolist())))
+        keep |= kg.events[:, 3] >= before_step
+    return kg.with_quadruples(kg.events[keep])
 
 
 def _round_half_up(x: float) -> int:
@@ -583,12 +594,10 @@ def generate_synthetic_pair(cfg: GeneratorConfig, seed: int) -> SyntheticPair:
 
     relations = Vocabulary.integers(cfg.relations)
     source = TemporalKG(
-        Vocabulary.integers(cfg.source_entities), relations,
-        list(map(Quadruple._make, src.tolist())), cfg.steps,
+        Vocabulary.integers(cfg.source_entities), relations, src, cfg.steps
     )
     target_full = TemporalKG(
-        Vocabulary.integers(cfg.target_entities), relations,
-        list(map(Quadruple._make, tgt.tolist())), cfg.steps,
+        Vocabulary.integers(cfg.target_entities), relations, tgt, cfg.steps
     )
 
     # Exposed pairs favor prominent entities: coverage lands on the targets

@@ -186,7 +186,7 @@ class TrainState:
     alignments: AlignmentSet
     transferred: list[TransferRecord]
     union_kg: TemporalKG
-    gt_train: list[Quadruple]
+    gt_train: np.ndarray  # (n, 4) ground-truth training events
     epoch: int = 0
     loss_trace: list = field(default_factory=list)
     val_trace: list = field(default_factory=list)
@@ -208,7 +208,8 @@ def pretrain_teacher(
     source_kg: TemporalKG, cfg: TrainConfig, log_rows: list | None = None
 ) -> NetworkParams:
     """Minimize the reasoning loss on the source graph; returns frozen params."""
-    if not source_kg.quadruples:
+    quads = source_kg.events
+    if len(quads) == 0:
         raise ValueError("source graph is empty")
     params = init_network_params(
         len(source_kg.entities), len(source_kg.relations), cfg.dim,
@@ -216,12 +217,11 @@ def pretrain_teacher(
     )
     state = AdamState.like(params.trainable())
     neg = NegativeSamplerConfig(cfg.reasoning_negatives, cfg.seed)
-    quads = list(source_kg.quadruples)
     for epoch in range(cfg.epochs):
         order = rng_for(cfg.seed, _RNG_SHUFFLE, _RNG_TEACHER, epoch).permutation(len(quads))
         losses = []
         for bi in range(0, len(quads), cfg.batch_size):
-            batch = [quads[i] for i in order[bi : bi + cfg.batch_size]]
+            batch = quads[order[bi : bi + cfg.batch_size]]
             rng = rng_for(cfg.seed, _RNG_TEACHER, epoch, bi)
             drop = rng_for(cfg.seed, _RNG_DROPOUT, _RNG_TEACHER, epoch, bi)
             loss, cache = reasoning_loss_fwd(
@@ -277,8 +277,8 @@ def init_student_from_teacher(
 
 @dataclass
 class EpochBatches:
-    gt_quads: list[Quadruple]
-    ps_quads: list[Quadruple]
+    gt_quads: np.ndarray | list[Quadruple]  # any (n, 4) array-like
+    ps_quads: np.ndarray | list[Quadruple]
     gt_pairs: list[AlignmentPair]
     ps_pairs: list[AlignmentPair]
 
@@ -364,8 +364,8 @@ def _alignment_terms(
 def _reasoning_terms(
     student: NetworkParams,
     union_kg: TemporalKG,
-    gt_batch: list[Quadruple],
-    ps_batch: list[Quadruple],
+    gt_batch: np.ndarray | list[Quadruple],
+    ps_batch: np.ndarray | list[Quadruple],
     weights: tuple[float, float],
     cfg: TrainConfig,
     rng: np.random.Generator,
@@ -379,7 +379,7 @@ def _reasoning_terms(
     loss = 0.0
     grads = student.zero_grads()
     for batch, w in ((gt_batch, w_gt), (ps_batch, w_ps)):
-        if not batch or w == 0.0:
+        if len(batch) == 0 or w == 0.0:
             continue
         term, cache = reasoning_loss_fwd(
             student, union_kg, batch, neg, cfg.margin_reasoning, rng,
@@ -411,7 +411,8 @@ def combined_loss_and_grad(
     alignment module; every sampling site is seeded, so the value is a pure
     deterministic function of the parameters. Without ``with_grad`` the
     backward passes are skipped and the grads come back zero."""
-    if not (batches.gt_quads or batches.ps_quads or batches.gt_pairs or batches.ps_pairs):
+    if not any(map(len, (batches.gt_quads, batches.ps_quads,
+                         batches.gt_pairs, batches.ps_pairs))):
         raise ValueError("all four training sets are empty")
     w_graph = set_size_weights(len(batches.gt_quads), len(batches.ps_quads))
     w_align = set_size_weights(len(batches.gt_pairs), len(batches.ps_pairs))
@@ -483,9 +484,7 @@ def _interval_bounds(train_steps: int, k: int) -> list[tuple[int, int]]:
     return [(int(edges[i]), int(edges[i + 1])) for i in range(k)][::-1]
 
 
-def _chunks(items: list, size: int) -> list[list]:
-    if not items:
-        return []
+def _chunks(items, size: int) -> list:
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
@@ -551,11 +550,9 @@ def train_mpkd(
     if target_kg.horizon != split.total_steps:
         raise ValueError("target horizon does not match the configured split")
     train_part, val_part, _ = split_by_time(target_kg, split)
-    gt_train = list(train_part.quadruples)
-    val_quads = list(val_part.quadruples)
-    val_history = target_kg.with_quadruples(
-        gt_train + val_quads
-    )  # evaluation sees ground-truth data only
+    gt_train, val_quads = train_part.events, val_part.events
+    # evaluation sees ground-truth data only
+    val_history = target_kg.with_quadruples(np.concatenate([gt_train, val_quads]))
 
     log_rows: list = []
     if teacher is None:
@@ -574,11 +571,8 @@ def train_mpkd(
     source_traj_bank = encode_trajectories_fwd(
         teacher, source_kg, np.arange(teacher.n_entities), t_train, cfg.neighbors,
     )[0]
-    active_sources = frozenset(
-        e
-        for e in range(teacher.n_entities)
-        if any(t < t_train for _, _, t in source_kg.adjacency(e))
-    )
+    early = source_kg.events[source_kg.events[:, 3] < t_train]
+    active_sources = frozenset(early[:, [0, 2]].ravel().tolist())
 
     state = TrainState(
         teacher=teacher,
@@ -640,29 +634,30 @@ def train_mpkd(
             rank_obj, rank_subj = _student_top1_fns(
                 student, state.union_kg, cfg.neighbors, cfg.transfer_min_top1_prob
             )
-            already = {r.quadruple for r in state.transferred}
+            # the union graph holds every earlier transfer, so none repeats
             new = transfer_events(
                 source_kg, state.union_kg, state.alignments, rank_obj,
-                rank_subj, t_train, epoch, already,
+                rank_subj, t_train, epoch,
             )
             if new:
                 state.transferred.extend(new)
-                state.union_kg = target_kg.with_quadruples(
-                    gt_train + [r.quadruple for r in state.transferred]
-                )
+                state.union_kg = target_kg.with_quadruples(np.concatenate(
+                    [gt_train, [r.quadruple for r in state.transferred]]
+                ))
 
         # (c) student update: recent intervals first, Eq-weighted terms
-        ps_quads = [r.quadruple for r in state.transferred]
+        ps_quads = np.array([r.quadruple for r in state.transferred], np.int64)
+        ps_quads = ps_quads.reshape(-1, 4)  # (0, 4) before the first transfer
         w_graph = set_size_weights(len(gt_train), len(ps_quads))
         student_losses = []
         for iv, (lo, hi) in enumerate(_interval_bounds(t_train, cfg.time_intervals)):
-            gt_iv = [q for q in gt_train if lo <= q.time < hi]
-            ps_iv = [q for q in ps_quads if lo <= q.time < hi]
-            if not gt_iv and not ps_iv:
+            gt_iv = gt_train[(gt_train[:, 3] >= lo) & (gt_train[:, 3] < hi)]
+            ps_iv = ps_quads[(ps_quads[:, 3] >= lo) & (ps_quads[:, 3] < hi)]
+            if len(gt_iv) == 0 and len(ps_iv) == 0:
                 continue
             shuffle = rng_for(cfg.seed, _RNG_SHUFFLE, _RNG_STUDENT, epoch, iv)
-            gt_iv = [gt_iv[i] for i in shuffle.permutation(len(gt_iv))]
-            ps_iv = [ps_iv[i] for i in shuffle.permutation(len(ps_iv))]
+            gt_iv = gt_iv[shuffle.permutation(len(gt_iv))]
+            ps_iv = ps_iv[shuffle.permutation(len(ps_iv))]
             gt_chunks = _chunks(gt_iv, cfg.batch_size)
             ps_chunks = _chunks(ps_iv, cfg.batch_size)
             for bi in range(max(len(gt_chunks), len(ps_chunks))):
@@ -712,7 +707,7 @@ def train_mpkd(
             )
 
         val_mrr = float("nan")
-        if val_quads:
+        if len(val_quads):
             report = evaluate(
                 student, val_history, val_quads, cfg.neighbors,
                 cfg.digest(), cfg.seed,
@@ -730,11 +725,11 @@ def train_mpkd(
             (epoch, "student", mean_student, val_mrr, n_pseudo, len(state.transferred))
         )
 
-        if val_quads and val_mrr > state.best_val:
+        if len(val_quads) and val_mrr > state.best_val:
             state.best_val = val_mrr
             state.best_epoch = epoch
             best_student, best_align = student.copy(), align.copy()
-        if val_quads and epoch - state.best_epoch >= cfg.patience:
+        if len(val_quads) and epoch - state.best_epoch >= cfg.patience:
             break
 
     if state.best_epoch >= 0:

@@ -67,7 +67,6 @@ def transfer_events_full_scan(
     rank_subject_fn,
     horizon: int,
     round_index: int = 0,
-    already: set[Quadruple] | None = None,
 ) -> list[TransferRecord]:
     """Event transfer that scans every source quadruple once per aligned
     source entity."""
@@ -77,8 +76,6 @@ def transfer_events_full_scan(
     for p in sorted(alignments, key=lambda p: (p.source_entity, p.target_entity)):
         src_to_tgt.setdefault(p.source_entity, p.target_entity)
     present: set[Quadruple] = set(target_kg.quadruples)
-    if already:
-        present |= already
     shared_relations = len(target_kg.relations)
 
     records: list[TransferRecord] = []

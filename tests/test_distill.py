@@ -275,8 +275,8 @@ class TestGreedyMatchesReference:
 def _random_transfer_case(seed):
     """Small source/target graphs that hit every branch of the transfer:
     self-loops, relations outside the shared vocabulary, events at the
-    horizon, a source aligned twice, a non-empty ``already`` set and gated
-    completions."""
+    horizon, a source aligned twice, target events standing for earlier
+    transfers and gated completions."""
     rng = np.random.default_rng(seed)
     n_ent, kg_horizon, horizon = 6, 10, 7
     src_quads = [
@@ -294,20 +294,21 @@ def _random_transfer_case(seed):
     ]
     src = TemporalKG(Vocabulary.integers(n_ent), Vocabulary.integers(3),
                      src_quads, kg_horizon)
-    tgt = TemporalKG(Vocabulary.integers(n_ent), Vocabulary.integers(2),
-                     tgt_quads, kg_horizon)
     pairs = [AlignmentPair(1, int(rng.integers(n_ent)))]
     for e in rng.choice(n_ent, size=int(rng.integers(0, n_ent)), replace=False):
         pairs.append(AlignmentPair(int(e), int(rng.integers(n_ent))))
     pairs.append(AlignmentPair(int(pairs[-1].source_entity), int(rng.integers(n_ent))))
     order = rng.permutation(len(pairs))
     aligns = AlignmentSet([pairs[i] for i in order])
-    already = {
+    # earlier transfers are part of the target graph they were added to
+    earlier = {
         Quadruple(int(rng.integers(n_ent)), int(rng.integers(2)),
                   int(rng.integers(n_ent)), int(rng.integers(horizon)))
         for _ in range(int(rng.integers(1, 6)))
     }
-    return src, tgt, aligns, horizon, already
+    tgt = TemporalKG(Vocabulary.integers(n_ent), Vocabulary.integers(2),
+                     tgt_quads + sorted(earlier), kg_horizon)
+    return src, tgt, aligns, horizon
 
 
 def _logged_rank_fns(log, seed):
@@ -331,14 +332,13 @@ class TestTransferMatchesReference:
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=200, deadline=None)
     def test_identical_records_in_order(self, seed):
-        src, tgt, aligns, horizon, already = _random_transfer_case(seed)
+        src, tgt, aligns, horizon = _random_transfer_case(seed)
         got_log, want_log = [], []
         got = transfer_events(
-            src, tgt, aligns, *_logged_rank_fns(got_log, seed), horizon, 3, already
+            src, tgt, aligns, *_logged_rank_fns(got_log, seed), horizon, 3
         )
         want = transfer_events_full_scan(
-            src, tgt, aligns, *_logged_rank_fns(want_log, seed), horizon, 3,
-            already,
+            src, tgt, aligns, *_logged_rank_fns(want_log, seed), horizon, 3
         )
         assert got == want
         assert got_log == want_log

@@ -17,6 +17,7 @@ from tkgdistill.evaluation import (
     score_object_queries,
     transfer_ratio,
 )
+from tkgdistill.tkg import Quadruple
 
 
 class TestRankOf:
@@ -211,6 +212,22 @@ class TestEvaluate:
         report = evaluate(toy_params, toy_kg, list(toy_kg.quadruples[:4]), b=4)
         clone = MetricsReport.from_json(report.to_json())
         assert clone.to_json() == report.to_json()
+
+
+    def test_block_and_shuffled_quadruples_give_the_same_report(
+        self, toy_params, toy_kg
+    ):
+        block = toy_kg.events
+        # interleave the time steps at random; each step's rows keep their order
+        slot_times = block[np.random.default_rng(4).permutation(len(block)), 3]
+        shuffled = np.empty_like(block)
+        for t in np.unique(slot_times):
+            shuffled[slot_times == t] = block[block[:, 3] == t]
+        quads = [Quadruple(*row) for row in shuffled.tolist()]
+        assert [q.time for q in quads] != block[:, 3].tolist()
+        a = evaluate(toy_params, toy_kg, block, b=4)
+        b = evaluate(toy_params, toy_kg, quads, b=4)
+        assert a.to_json() == b.to_json()
 
 
 class TestTransferRatio:

@@ -177,6 +177,26 @@ class TestReasoningLoss:
         assert small <= large
 
 
+    def test_block_and_quadruple_list_give_the_same_forms_and_loss(
+        self, toy_params, toy_kg
+    ):
+        block = toy_kg.events[:7]
+        quads = [Quadruple(*row) for row in block.tolist()]
+        neg = NegativeSamplerConfig(3, seed=2)
+        (loss_a, cache_a), (loss_b, cache_b) = (
+            reasoning_loss_fwd(toy_params, toy_kg, batch, neg, 0.5,
+                               np.random.default_rng(5), b=4)
+            for batch in (block, quads)
+        )
+        assert loss_a == loss_b
+        assert np.array_equal(cache_a["forms"], cache_b["forms"])
+        # each quadruple as stated, then through its reciprocal relation row
+        shift = [0, toy_params.n_relations, 0, 0]
+        assert np.array_equal(
+            cache_a["forms"], np.concatenate([block, block[:, [2, 1, 0, 3]] + shift])
+        )
+
+
 class TestReasoningGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradient_matches_central_differences(self, seed):

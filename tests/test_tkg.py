@@ -470,6 +470,64 @@ class TestValidation:
         assert subsample_events(kg, 0.5, seed=0, before_step=2).quadruples == ()
 
 
+class TestEventBlock:
+    """``events`` is the graph's one stored form of its quadruples."""
+
+    @staticmethod
+    def _rows():
+        # (subject, relation, object, time) rows over 6 entities, 3 relations
+        # and horizon 9
+        return np.random.default_rng(8).integers(0, [6, 3, 6, 9], size=(40, 4))
+
+    def test_block_quadruples_and_iterator_build_the_same_graph(self):
+        rows = self._rows()
+        quads = [Quadruple(*row) for row in rows.tolist()]
+        graphs = [build(rows, 6, 3, 9), build(quads, 6, 3, 9),
+                  build(iter(quads), 6, 3, 9)]
+        ids = np.arange(6)
+        times = np.random.default_rng(9).integers(0, 10, size=6)
+        want = graphs[0].neighbor_arrays(ids, times, 3)
+        for kg in graphs:
+            assert kg.events.dtype == np.int64
+            assert np.array_equal(kg.events, rows)
+            assert kg.quadruples == tuple(quads)
+            for got, ref in zip(kg.neighbor_arrays(ids, times, 3), want):
+                assert np.array_equal(got, ref)
+
+    def test_events_are_read_only_and_the_callers_array_is_not(self):
+        rows = self._rows()
+        before = rows.copy()
+        kg = build(rows, 6, 3, 9)
+        with pytest.raises(ValueError):
+            kg.events[0, 0] = 1
+        assert rows.flags.writeable
+        assert not np.shares_memory(rows, kg.events)
+        rows[:] = 0
+        assert np.array_equal(kg.events, before)
+
+    def test_error_names_a_quadruple_for_block_input(self):
+        with pytest.raises(ValueError) as exc:
+            build(np.array([[0, 0, 1, 0], [0, 0, 1, 9]]))
+        assert str(exc.value) == f"time 9 outside horizon 5 in {Quadruple(0, 0, 1, 9)}"
+
+    def test_split_parts_are_the_parents_rows_under_each_mask(self):
+        kg = random_kg(np.random.default_rng(10), horizon=10, n_events=200)
+        t = kg.events[:, 3]
+        parts = split_by_time(kg, SplitSpec(10, 6, 2, 2))
+        for part, mask in zip(parts, (t < 6, (t >= 6) & (t < 8), t >= 8)):
+            assert np.array_equal(part.events, kg.events[mask])
+            assert not part.events.flags.writeable
+
+    @pytest.mark.parametrize("before_step", [None, 4])
+    def test_thinned_graph_is_the_parents_rows_under_the_mask(self, before_step):
+        kg = random_kg(np.random.default_rng(11), horizon=10, n_events=200)
+        keep = np.random.default_rng(3).random(len(kg.events)) < 0.3
+        if before_step is not None:
+            keep |= kg.events[:, 3] >= before_step
+        thinned = subsample_events(kg, 0.3, 3, before_step)
+        assert np.array_equal(thinned.events, kg.events[keep])
+
+
 class TestVocabulary:
     def test_first_occurrence_wins_as_with_add(self):
         symbols = ["b", "a", "b", "c", "a"]
