@@ -1,6 +1,6 @@
 """Cross-lingual temporal knowledge graph completion by teacher/student
 distillation: a teacher trained on a complete source graph guides a student
-on an incomplete target graph through an adaptive alignment module, with
+on an incomplete target graph through an alignment module, with
 pseudo-alignment generation and temporal event transfer paced over training.
 """
 
@@ -56,7 +56,6 @@ from .tkg import (
 from .trainer import (
     TrainConfig,
     TrainState,
-    combined_loss,
     init_student_from_teacher,
     pretrain_teacher,
     train_mpkd,

@@ -1,6 +1,6 @@
 """Cross-lingual alignment module: causal temporal integration of entity
-trajectories, cosine correspondence, adaptive per-time alignment strength,
-and the strength-weighted ranking loss over alignment pairs.
+trajectories, cosine correspondence, a parameter-free per-time alignment
+strength, and the strength-weighted ranking loss over alignment pairs.
 """
 
 from __future__ import annotations
@@ -20,26 +20,18 @@ from .numerics import (
 
 @dataclass
 class AlignParams:
-    """Trainable arrays: one temporal attention shared by both languages,
-    and a cross-lingual attention whose masked diagonal is the strength."""
+    """Trainable arrays: one temporal attention shared by both languages.
+    The alignment strength has no parameters (see ``strength_diagonal``)."""
 
     temporal_WQ: np.ndarray
     temporal_WK: np.ndarray
     temporal_WV: np.ndarray
-    cross_WQ: np.ndarray
-    cross_WK: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.temporal_WQ.shape[0]
 
     def trainable(self) -> ParamDict:
         return {
             "temporal_WQ": self.temporal_WQ,
             "temporal_WK": self.temporal_WK,
             "temporal_WV": self.temporal_WV,
-            "cross_WQ": self.cross_WQ,
-            "cross_WK": self.cross_WK,
         }
 
     def zero_grads(self) -> ParamDict:
@@ -50,15 +42,12 @@ class AlignParams:
 
 
 def init_align_params(dim: int, seed: int) -> AlignParams:
-    """Temporal attention starts random (it is trained); the cross attention
-    starts at identity so the strength diagonal reads raw correspondence
-    peaks from the very first epoch (its gradient path is detached, see
-    ``alignment_loss_fwd``)."""
+    """Glorot-uniform temporal attention projections."""
     rng = np.random.default_rng(seed)
     bound = np.sqrt(6.0 / (2 * dim))
-    mats = [rng.uniform(-bound, bound, size=(dim, dim)) for _ in range(3)]
-    eye = np.eye(dim)
-    return AlignParams(*mats, eye.copy(), eye.copy())
+    return AlignParams(
+        *(rng.uniform(-bound, bound, size=(dim, dim)) for _ in range(3))
+    )
 
 
 def _causal_softmax(scores: np.ndarray) -> np.ndarray:
@@ -182,20 +171,16 @@ def temporal_integrate_batch_bwd(
     return grad_trajs
 
 
-def strength_diagonal(
-    ap: AlignParams, h_source: np.ndarray, h_target: np.ndarray
-) -> np.ndarray:
+def strength_diagonal(h_source: np.ndarray, h_target: np.ndarray) -> np.ndarray:
     """Per-time alignment strength: diagonal of the masked cross attention.
 
-    ``h_source``/``h_target`` are (..., T, d) integrations; queries come from
-    the source side, keys from the target side. Row 1 has a single live
-    entry, so the strength at t = 1 is exactly 1.
+    ``h_source``/``h_target`` are (..., T, d) integrations; queries are the
+    source rows and keys the target rows, unprojected, so the strength has
+    no parameters. Row 1 has a single live entry, so the strength at t = 1
+    is exactly 1.
     """
-    d = h_source.shape[-1]
-    q = h_source @ ap.cross_WQ
-    k = h_target @ ap.cross_WK
-    scores = q @ np.swapaxes(k, -1, -2)
-    scores /= np.sqrt(d)
+    scores = h_source @ np.swapaxes(h_target, -1, -2)
+    scores /= np.sqrt(h_source.shape[-1])
     return np.diagonal(_causal_softmax(scores), axis1=-2, axis2=-1)
 
 
@@ -235,7 +220,6 @@ def alignment_loss_fwd(
     neg_factor: int,
     margin: float,
     rng: np.random.Generator,
-    uniform_strength: bool = False,
     strength_override: np.ndarray | None = None,
     *,
     u_tgt: np.ndarray,
@@ -251,7 +235,8 @@ def alignment_loss_fwd(
     a constant in the gradient (detached): it scales the hinge but is not
     itself optimized, which blocks the degenerate all-zero-strength solution.
     ``strength_override`` freezes the weights explicitly (used by the
-    finite-difference checks and by the uniform-strength ablation via ones).
+    finite-difference checks and by the uniform-strength ablation via ones);
+    without it the weights are ``strength_diagonal`` of the integrations.
 
     Both sides are normalised to unit rows once. Each time step then scores
     every source row against every target row in one (P, n_targets) matmul,
@@ -285,10 +270,8 @@ def alignment_loss_fwd(
 
     if strength_override is not None:
         beta = strength_override
-    elif uniform_strength:
-        beta = np.ones_like(g_pos)
     else:
-        beta = strength_diagonal(ap, h_src, h_tgt[pair_targets])
+        beta = strength_diagonal(h_src, h_tgt[pair_targets])
 
     hinge = np.maximum(0.0, margin - g_pos[:, None, :] + g_neg)
     hinge = hinge * valid[..., None]

@@ -17,10 +17,10 @@ from .alignment import AlignParams
 from .encoder import NetworkParams
 from .tkg import Vocabulary
 
-MAGIC = b"MPKD1"
+MAGIC = b"MPKD2"
 
 _NETWORK_BLOCKS = ("entity_emb", "relation_emb", "transform_W", "attn_a", "time_freq")
-_ALIGN_BLOCKS = ("temporal_WQ", "temporal_WK", "temporal_WV", "cross_WQ", "cross_WK")
+_ALIGN_BLOCKS = ("temporal_WQ", "temporal_WK", "temporal_WV")
 
 
 @dataclass

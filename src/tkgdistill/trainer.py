@@ -336,11 +336,12 @@ def _alignment_terms(
             continue
         src, tgt, excl = _pair_arrays(pairs, alignments)
         override = strength_overrides[idx] if strength_overrides else None
+        if override is None and cfg.uniform_strength:
+            override = np.ones((len(src), source_traj_bank.shape[1]))
         term, cache = alignment_loss_fwd(
             align, source_traj_bank[src], h_tgt, tgt, excl,
             cfg.alignment_negatives, cfg.margin_alignment, rng,
-            uniform_strength=cfg.uniform_strength, strength_override=override,
-            u_tgt=u_tgt,
+            strength_override=override, u_tgt=u_tgt,
         )
         loss += w * term
         terms.append((w, cache))
@@ -439,24 +440,6 @@ def combined_loss_and_grad(
             align_grads = a_grads
             encode_trajectories_bwd(grad_tgt, traj_cache, student, student_grads)
     return loss, student_grads, align_grads
-
-
-def combined_loss(
-    student: NetworkParams,
-    align: AlignParams,
-    union_kg: TemporalKG,
-    source_traj_bank: np.ndarray,
-    alignments: AlignmentSet,
-    batches: EpochBatches,
-    cfg: TrainConfig,
-    seed_tag: int = 0,
-    strength_overrides: tuple | None = None,
-) -> float:
-    """The value of ``combined_loss_and_grad``, without its backward passes."""
-    return combined_loss_and_grad(
-        student, align, union_kg, source_traj_bank, alignments, batches, cfg,
-        seed_tag, strength_overrides, with_grad=False,
-    )[0]
 
 
 # ---------------------------------------------------------------------------

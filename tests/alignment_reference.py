@@ -37,14 +37,12 @@ def correspondence(h_source: np.ndarray, h_target: np.ndarray, t: int) -> float:
     return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
 
 
-def alignment_strength(
-    ap: AlignParams, h_source: np.ndarray, h_target: np.ndarray, t: int
-) -> float:
+def alignment_strength(h_source: np.ndarray, h_target: np.ndarray, t: int) -> float:
     """Strength for one pair at 1-based time ``t``; lies in (0, 1]."""
     t_len = h_source.shape[0]
     if not 1 <= t <= t_len:
         raise ValueError(f"time step {t} outside integration of length {t_len}")
-    return float(strength_diagonal(ap, h_source, h_target)[t - 1])
+    return float(strength_diagonal(h_source, h_target)[t - 1])
 
 
 def alignment_step(ap: AlignParams, source_trajs, target_trajs, *args, **kwargs):

@@ -15,6 +15,7 @@ from alignment_reference import (
     temporal_integrate,
 )
 from tkgdistill.alignment import (
+    _causal_softmax,
     init_align_params,
     strength_diagonal,
     temporal_integrate_batch_bwd,
@@ -162,37 +163,36 @@ class TestCorrespondence:
 
 class TestStrength:
     def test_first_step_is_one(self):
-        ap = init_align_params(3, seed=7)
         rng = np.random.default_rng(8)
         hs, ht = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-        assert alignment_strength(ap, hs, ht, 1) == pytest.approx(1.0)
+        assert alignment_strength(hs, ht, 1) == pytest.approx(1.0)
 
     def test_equal_logits_give_half(self):
-        ap = init_align_params(2, seed=9)
-        ap.cross_WQ[:] = np.eye(2)
-        ap.cross_WK[:] = np.eye(2)
         hs = np.array([[1.0, 0.0], [1.0, 0.0]])
         ht = np.array([[1.0, 0.0], [1.0, 0.0]])  # both keys score identically
-        assert alignment_strength(ap, hs, ht, 2) == pytest.approx(0.5)
+        assert alignment_strength(hs, ht, 2) == pytest.approx(0.5)
 
     def test_matches_bruteforce_row_softmax(self):
-        ap = init_align_params(3, seed=10)
         rng = np.random.default_rng(11)
         hs, ht = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-        got = alignment_strength(ap, hs, ht, 3)
-        q = hs @ ap.cross_WQ
-        k = ht @ ap.cross_WK
-        logits = np.array([q[2] @ k[i] for i in range(3)]) / np.sqrt(3)
+        got = alignment_strength(hs, ht, 3)
+        logits = np.array([hs[2] @ ht[i] for i in range(3)]) / np.sqrt(3)
         want = softmax_masked(logits, np.ones(3, dtype=bool))[2]
         assert got == pytest.approx(want, rel=1e-12)
+        # the earlier form projected both sides through identity matrices;
+        # skipping those products leaves every strength bit unchanged
+        eye = np.eye(3)
+        scores = (hs @ eye) @ np.swapaxes(ht @ eye, -1, -2)
+        scores /= np.sqrt(3)
+        retired = np.diagonal(_causal_softmax(scores), axis1=-2, axis2=-1)
+        assert np.array_equal(strength_diagonal(hs, ht), retired)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=50, deadline=None)
     def test_in_unit_interval(self, seed):
         rng = np.random.default_rng(seed)
-        ap = init_align_params(3, seed=seed % 13)
         hs, ht = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        beta = strength_diagonal(ap, hs, ht)
+        beta = strength_diagonal(hs, ht)
         assert (beta > 0).all() and (beta <= 1.0 + 1e-12).all()
 
 
@@ -246,7 +246,7 @@ class TestAlignmentLoss:
         h_src, _ = temporal_integrate_batch_fwd(ap, src)
         loss, _, _ = alignment_step(
             ap, src, src, np.arange(3), excl, 2, 1e-9,
-            np.random.default_rng(0), uniform_strength=True,
+            np.random.default_rng(0), strength_override=np.ones((3, 4)),
         )
         assert loss >= 0.0
 
@@ -357,7 +357,7 @@ class TestAlignmentGradients:
         ap, src, tgt, pair_targets, excl, n_neg = _case_setup(case, seed)
         h_src, _ = temporal_integrate_batch_fwd(ap, src)
         h_tgt, _ = temporal_integrate_batch_fwd(ap, tgt)
-        beta0 = strength_diagonal(ap, h_src, h_tgt[pair_targets])
+        beta0 = strength_diagonal(h_src, h_tgt[pair_targets])
 
         def fwd():
             return alignment_step(
@@ -383,7 +383,7 @@ class TestAlignmentGradients:
         ap, src, tgt, pair_targets, excl = _loss_setup(7)
         h_src, _ = temporal_integrate_batch_fwd(ap, src)
         h_tgt, _ = temporal_integrate_batch_fwd(ap, tgt)
-        beta0 = strength_diagonal(ap, h_src, h_tgt[pair_targets])
+        beta0 = strength_diagonal(h_src, h_tgt[pair_targets])
         box = {"tgt": tgt}
 
         def lg(p):

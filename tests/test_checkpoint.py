@@ -6,6 +6,7 @@ import copy
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +144,24 @@ class TestDamagedCheckpoint:
         path.write_bytes(saved[0])
         (tmp_path / "latin.mpkd.json").write_bytes(b"{\"format\": \"caf\xe9\"}")
         _assert_rejected(path)
+
+    def test_earlier_layout_with_cross_blocks(self, tmp_path, saved):
+        # MPKD1 stored two more (d, d) alignment blocks, cross_WQ and cross_WK
+        d = saved[1]["dim"]
+        payload = b"MPKD1" + saved[0][len(b"MPKD2"):]
+        payload += np.eye(d, dtype="<f4").tobytes() * 2
+        meta = copy.deepcopy(saved[1])
+        meta["format"] = "MPKD1"
+        meta["blocks"] += [
+            {"name": f"align.{n}", "shape": [d, d]} for n in ("cross_WQ", "cross_WK")
+        ]
+        meta["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+        path = tmp_path / "old.mpkd"
+        path.write_bytes(payload)
+        (tmp_path / "old.mpkd.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("missing", ["payload", "sidecar"])
     def test_missing_file(self, tmp_path, saved, missing):
