@@ -10,7 +10,10 @@ and one on the scale5x config (1,000 entities per side, 1 epoch), the
 generators and training schedules of the perfbench workloads of the same
 names, and prints sha256 prefixes of the teacher, student and alignment
 parameter bytes and of the MetricsReport JSON without ``config_digest``
-(which changes whenever a TrainConfig field is added or removed).
+(which changes whenever a TrainConfig field is added or removed). A
+``uniform`` line per seed follows each desk line: the desk config on the
+same pair with ``uniform_strength`` set, the ablation arm of the
+noise-robustness criterion.
 
 An ``eval`` line per seed, after its own ``pair`` line, covers the
 read-only path: the generator and untrained d=128 checkpoint of the
@@ -147,6 +150,16 @@ def _params_sha(params) -> str:
     return _sha(b"".join(a.tobytes() for a in params.trainable().values()))
 
 
+def _run_line(name: str, pair, cfg: TrainConfig) -> str:
+    report, state = experiments.run_transfer(pair, cfg, experiments.TeacherBank())
+    return (
+        f"{name} seed {cfg.seed}: teacher {_params_sha(state.teacher)} "
+        f"student {_params_sha(state.student)} "
+        f"align {_params_sha(state.align)} "
+        f"report {_report_sha(report.to_json())}"
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
@@ -155,16 +168,10 @@ def main() -> int:
         for seed in args.seeds:
             pair = generate_synthetic_pair(gen, seed)
             print(f"pair {name} seed {seed}: {_pair_digest(pair)}", flush=True)
-            report, state = experiments.run_transfer(
-                pair, replace(cfg, seed=seed), experiments.TeacherBank()
-            )
-            print(
-                f"{name} seed {seed}: teacher {_params_sha(state.teacher)} "
-                f"student {_params_sha(state.student)} "
-                f"align {_params_sha(state.align)} "
-                f"report {_report_sha(report.to_json())}",
-                flush=True,
-            )
+            print(_run_line(name, pair, replace(cfg, seed=seed)), flush=True)
+            if name == "desk":
+                uniform = replace(cfg, seed=seed, uniform_strength=True)
+                print(_run_line("uniform", pair, uniform), flush=True)
     for seed in args.seeds:
         pair = generate_synthetic_pair(EVAL_GENERATOR, seed)
         print(f"pair eval seed {seed}: {_pair_digest(pair)}", flush=True)

@@ -7,38 +7,23 @@ pseudo-alignment generation and temporal event transfer paced over training.
 __version__ = "0.1.0"
 
 from .alignment import AlignParams, init_align_params
-from .encoder import (
-    NetworkParams,
-    encode_entity,
-    encode_trajectory,
-    init_network_params,
-    time_encode,
-)
+from .encoder import NetworkParams, init_network_params
 from .evaluation import (
     DiagnosticConfig,
     MetricsReport,
     evaluate,
     metrics_from_ranks,
     nce_deviation_sweep,
-    rank_query,
     transfer_ratio,
 )
 from .distill import (
     PseudoGenConfig,
     TransferRecord,
     generate_pseudo_alignments,
-    mean_similarity,
     transfer_events,
 )
-from .numerics import (
-    AdamState,
-    GradCheckReport,
-    adam_step,
-    cosine,
-    grad_check,
-    softmax_masked,
-)
-from .scoring import NegativeSamplerConfig, reasoning_loss, score_quadruple
+from .numerics import AdamState, GradCheckReport, adam_step, grad_check
+from .scoring import NegativeSamplerConfig
 from .tkg import (
     AlignmentPair,
     AlignmentSet,

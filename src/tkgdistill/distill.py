@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .numerics import cosine_rows_guarded
 from .tkg import (
     PSEUDO,
     AlignmentPair,
@@ -48,11 +47,6 @@ class TransferRecord:
     origin: Quadruple
     mechanism: str  # "alignment-lookup" | "student-top1"
     round_index: int
-
-
-def mean_similarity(h_source: np.ndarray, h_target: np.ndarray) -> float:
-    """Average cosine correspondence over all integration time steps."""
-    return float(cosine_rows_guarded(h_source, h_target).mean())
 
 
 def _solve_exact(sim: np.ndarray) -> list[tuple[int, int]]:

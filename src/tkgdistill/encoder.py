@@ -109,13 +109,6 @@ def time_table(params: NetworkParams, max_gap: int) -> np.ndarray:
     return np.sqrt(1.0 / d) * np.cos(params.time_freq * gaps)
 
 
-def time_encode(params: NetworkParams, delta_t: int) -> np.ndarray:
-    """Row ``delta_t`` of ``time_table``; unit norm at dt = 0."""
-    if delta_t < 0:
-        raise ValueError("delta_t must be non-negative")
-    return time_table(params, delta_t)[delta_t]
-
-
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout mask: entries are 0 or 1/(1-rate)."""
     keep = rng.random(shape) >= rate
@@ -277,20 +270,6 @@ def encode_batch_bwd(
     grads["entity_emb"] += messages @ g_both
 
 
-def encode_entity(
-    params: NetworkParams,
-    kg: TemporalKG,
-    e: int,
-    t: int,
-    b: int = 8,
-) -> np.ndarray:
-    """Representation of entity ``e`` at time ``t``."""
-    if not 0 <= e < params.n_entities:
-        raise KeyError(f"unknown entity id {e}")
-    out, _ = encode_batch_fwd(params, kg, np.array([e]), t, b)
-    return out[0]
-
-
 # ---------------------------------------------------------------------------
 # Grouped encoding of many (entity, time) pairs and trajectories.
 # ---------------------------------------------------------------------------
@@ -320,18 +299,6 @@ def encode_many_fwd(
 
 def encode_many_bwd(grad_out, cache, params, grads) -> None:
     encode_batch_bwd(grad_out[cache["order"]], cache["cache"], params, grads)
-
-
-def encode_trajectory(
-    params: NetworkParams,
-    kg: TemporalKG,
-    e: int,
-    t_max: int,
-    b: int = 8,
-) -> np.ndarray:
-    """Rows 0..t_max-1 hold the representation at times 1..t_max."""
-    traj, _ = encode_trajectories_fwd(params, kg, np.array([e]), t_max, b)
-    return traj[0]
 
 
 def encode_trajectories_fwd(

@@ -49,16 +49,9 @@ class MetricsReport:
         )
 
 
-def rank_of(scores: np.ndarray, true_id: int) -> int:
-    """1-based rank with deterministic tie-breaking by lower entity id."""
-    s_true = scores[true_id]
-    higher = int((scores > s_true).sum())
-    tied_lower = int((scores[:true_id] == s_true).sum())
-    return 1 + higher + tied_lower
-
-
 def ranks_of(scores: np.ndarray, true_ids: np.ndarray) -> np.ndarray:
-    """``rank_of`` for every row of ``scores`` at once, same tie rule.
+    """1-based rank of ``true_ids[i]`` in row i of ``scores``, ties broken
+    by lower entity id.
 
     Both counts are row sums of a ``uint8`` view of the comparison, and the
     lower-id ties are counted only in rows that tie with something besides
@@ -132,45 +125,6 @@ def score_object_queries(
     scores -= u_sq
     scores -= h_sq
     return scores
-
-
-def _check_ids(params: NetworkParams, e: int, r: int) -> None:
-    if not 0 <= e < params.n_entities:
-        raise KeyError(f"unknown entity id {e}")
-    if not 0 <= r < params.n_relations:
-        raise KeyError(f"unknown relation id {r}")
-
-
-def rank_query(
-    params: NetworkParams,
-    kg: TemporalKG,
-    query: tuple,
-    true_entity: int,
-    b: int = 8,
-    cache: EncodingCache | None = None,
-) -> int:
-    """Rank ``true_entity`` for one (e, r, None, t) or (None, r, e, t) query.
-
-    Subject-side queries go through the reciprocal relation row, so both
-    directions reduce to object ranking over the full vocabulary. Raw
-    setting: no other true answers are filtered out.
-    """
-    s, r, o, t = query
-    if (s is None) == (o is None):
-        raise ValueError("query must leave exactly one entity slot open")
-    if s is None:
-        _check_ids(params, o, r)
-        anchor, rel = o, r + params.n_relations
-    else:
-        _check_ids(params, s, r)
-        anchor, rel = s, r
-    if not 0 <= true_entity < params.n_entities:
-        raise KeyError(f"unknown entity id {true_entity}")
-    if cache is None:
-        cache = EncodingCache(params, kg, b)
-    h_all = cache.at(t)
-    scores = score_object_queries(params, h_all, np.array([anchor]), np.array([rel]))
-    return rank_of(scores[0], true_entity)
 
 
 def evaluate(

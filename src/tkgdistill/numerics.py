@@ -1,5 +1,5 @@
-"""Dense numerical core: masked softmax, row scatters, cosine, Adam,
-finite-difference checks, and the process's malloc thresholds.
+"""Dense numerical core: row-wise masked softmax, row scatters, unit rows,
+Adam, finite-difference checks, and the process's malloc thresholds.
 
 All arithmetic is float64. Parameter collections are plain ``dict[str, np.ndarray]``
 so the optimizer and the gradient checker stay agnostic of model structure.
@@ -36,24 +36,6 @@ def _pin_malloc_thresholds() -> None:
 
 
 _pin_malloc_thresholds()
-
-
-def softmax_masked(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Softmax over the unmasked positions; masked positions are exactly 0.
-
-    ``mask`` is True where a position is live. Stabilized by max-subtraction
-    over the live support. Raises on empty support.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if logits.shape != mask.shape:
-        raise ValueError("logits and mask must have equal shape")
-    if not mask.any():
-        raise ValueError("empty support: all positions masked")
-    shifted = np.where(mask, logits, -np.inf)
-    shifted = shifted - shifted.max()
-    exps = np.where(mask, np.exp(shifted), 0.0)
-    return exps / exps.sum()
 
 
 def softmax_masked_rows(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -97,33 +79,6 @@ def add_rows_at(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
     ).reshape(n, d)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine of two vectors, scaled as in ``cosine_rows_guarded``; a zero
-    vector raises."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError("cosine requires equal dimensions")
-    if not (u.any() and v.any()):
-        raise ValueError("undefined cosine: zero vector")
-    return float(cosine_rows_guarded(u, v))
-
-
-def cosine_rows_guarded(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cosine along the last axis with broadcasting; a zero row scores 0.
-
-    A rectified representation can be exactly zero (dead fallback rows);
-    that reads as neutral correspondence rather than an error. Each row is
-    first divided by its largest absolute entry, so norms neither underflow
-    into subnormals nor overflow; the cosine is invariant to that rescaling.
-    """
-    su = np.abs(u).max(axis=-1, keepdims=True)
-    sv = np.abs(v).max(axis=-1, keepdims=True)
-    uu = unit_rows(np.divide(u, su, out=np.zeros(np.shape(u)), where=su > 0))[0]
-    uv = unit_rows(np.divide(v, sv, out=np.zeros(np.shape(v)), where=sv > 0))[0]
-    return np.clip((uu * uv).sum(axis=-1), -1.0, 1.0)
-
-
 # leading rows per chunk of a per-row temporary: the unit rows' norms and
 # products here, the temporal integration's projections and scores
 CHUNK_ROWS = 64
@@ -137,9 +92,9 @@ def row_chunks(n: int) -> list[slice]:
 def unit_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``h`` scaled to unit length along the last axis, and their norms.
 
-    ``norms`` keeps the last axis as 1; a zero row stays zero. Unlike in
-    ``cosine_rows_guarded``, the norm is unscaled: this is on the training hot
-    path, where rows sit far from the subnormal range. The norms are taken
+    ``norms`` keeps the last axis as 1; a zero row stays zero. The norm is
+    unscaled: this is on the training hot path, where rows sit far from the
+    subnormal range. The norms are taken
     over ``row_chunks``, so their squares never fill an array of ``h``'s
     size; each row's norm is the same bit for bit.
     """

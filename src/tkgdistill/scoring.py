@@ -33,18 +33,6 @@ def translation_score(h_s: np.ndarray, h_r: np.ndarray, h_o: np.ndarray):
     return -np.sum(diff * diff, axis=-1)
 
 
-def score_quadruple(
-    params: NetworkParams,
-    kg: TemporalKG,
-    q: Quadruple,
-    b: int = 8,
-) -> float:
-    if not 0 <= q.relation < params.relation_emb.shape[0]:
-        raise KeyError(f"unknown relation id {q.relation}")
-    reps, _ = encode_many_fwd(params, kg, [(q.subject, q.time), (q.object, q.time)], b)
-    return float(translation_score(reps[0], params.relation_emb[q.relation], reps[1]))
-
-
 def _build_forms(batch, params: NetworkParams) -> np.ndarray:
     """(2B, 4) array of (subject, relation-row, object, time) scoring forms:
     each quadruple as stated, then through its reciprocal relation row.
@@ -197,17 +185,3 @@ def reasoning_loss_bwd(
     del g_rows, g_hs, g_ho, g_hn  # freed before the encoder's backward
     encode_many_bwd(grad_reps, cache["enc_cache"], params, grads)
 
-
-def reasoning_loss(
-    params: NetworkParams,
-    kg: TemporalKG,
-    batch: np.ndarray | list[Quadruple],
-    neg_cfg: NegativeSamplerConfig,
-    margin: float,
-    rng: np.random.Generator | None = None,
-    b: int = 8,
-) -> float:
-    if rng is None:
-        rng = np.random.default_rng(neg_cfg.seed)
-    loss, _ = reasoning_loss_fwd(params, kg, batch, neg_cfg, margin, rng, b)
-    return loss

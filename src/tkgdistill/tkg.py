@@ -509,11 +509,6 @@ class SyntheticPair:
     alignments: AlignmentSet
     latent_map: dict[int, int]  # source entity -> target entity
 
-    def __iter__(self):
-        return iter(
-            (self.source, self.target_full, self.target_incomplete, self.alignments)
-        )
-
 
 def _event_pool(
     rng, n_entities: int, n_relations: int, size: int, skew: float

@@ -67,7 +67,8 @@ _RANGES = {
         _at_least(1),
     ),
     **dict.fromkeys(
-        ("epochs", "warmup_epochs_before_generation", "patience"), _at_least(0)
+        ("epochs", "warmup_epochs_before_generation", "patience", "seed"),
+        _at_least(0),
     ),
     **dict.fromkeys(
         ("margin_reasoning", "margin_alignment", "learning_rate"),
@@ -78,6 +79,7 @@ _RANGES = {
         (lambda v: 0 <= v <= 1, "in [0, 1]"),
     ),
     "dropout": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "pseudo_min_similarity": (np.isfinite, "finite"),
     # no upper cap: a gate above 1 turns student completion off
     "transfer_min_top1_prob": _at_least(0),
 }
@@ -186,7 +188,6 @@ class TrainState:
     alignments: AlignmentSet
     transferred: list[TransferRecord]
     union_kg: TemporalKG
-    gt_train: np.ndarray  # (n, 4) ground-truth training events
     epoch: int = 0
     loss_trace: list = field(default_factory=list)
     val_trace: list = field(default_factory=list)
@@ -566,7 +567,6 @@ def train_mpkd(
         alignments=AlignmentSet(list(alignments.pairs)),
         transferred=[],
         union_kg=target_kg.with_quadruples(gt_train),
-        gt_train=gt_train,
         log_rows=log_rows,
     )
     all_targets = np.arange(student.n_entities, dtype=np.int64)

@@ -21,7 +21,8 @@ from tkgdistill.alignment import (
     temporal_integrate_batch_bwd,
     temporal_integrate_batch_fwd,
 )
-from tkgdistill.numerics import CHUNK_ROWS, grad_check, softmax_masked
+from scalar_reference import softmax_masked
+from tkgdistill.numerics import CHUNK_ROWS, grad_check
 
 
 def small_traj(rng, n, t_len, d, scale=0.7):

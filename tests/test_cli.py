@@ -111,6 +111,16 @@ class TestTrain:
         assert "unrecognized arguments: --threads 1" in res.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        rc = cli.main([
+            "train", "--source", str(tmp_path / "source.tsv"),
+            "--target", str(tmp_path / "target.tsv"),
+            "--align", str(tmp_path / "alignment.tsv"),
+            "--seed", "-1", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
     def test_seeded_reruns_identical_checkpoints(self, tmp_path, synth_dir, train_dir):
         out2 = tmp_path / "rerun"
         cfg = tmp_path / "cfg.ini"

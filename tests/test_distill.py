@@ -9,13 +9,13 @@ from distill_reference import (
     solve_greedy_sorted,
     transfer_events_full_scan,
 )
+from scalar_reference import mean_similarity
 from tkgdistill.distill import (
     CandidateTable,
     PseudoGenConfig,
     _solve_greedy,
     candidate_targets,
     generate_pseudo_alignments,
-    mean_similarity,
     transfer_events,
 )
 from tkgdistill.tkg import (

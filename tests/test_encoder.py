@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_reference import encode_entity, encode_trajectory, time_encode
 from tkgdistill.encoder import (
     encode_batch_bwd,
     encode_batch_fwd,
-    encode_entity,
     encode_many_bwd,
     encode_many_fwd,
-    encode_trajectory,
     init_network_params,
-    time_encode,
 )
 from tkgdistill.numerics import grad_check, softmax_masked_rows
 from tkgdistill.tkg import Quadruple, TemporalKG, Vocabulary

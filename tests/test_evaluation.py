@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_reference import rank_of, rank_query
 from tkgdistill.encoder import init_network_params
 from tkgdistill.evaluation import (
     DiagnosticConfig,
@@ -11,8 +12,6 @@ from tkgdistill.evaluation import (
     evaluate,
     metrics_from_ranks,
     nce_deviation_sweep,
-    rank_of,
-    rank_query,
     ranks_of,
     score_object_queries,
     transfer_ratio,

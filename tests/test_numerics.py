@@ -4,15 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alignment_reference import unit_rows_backward_whole, unit_rows_whole
+from scalar_reference import cosine, cosine_rows_guarded, softmax_masked
 from tkgdistill.numerics import (
     CHUNK_ROWS,
     AdamState,
     adam_step,
     add_rows_at,
-    cosine,
-    cosine_rows_guarded,
     grad_check,
-    softmax_masked,
     unit_rows,
     unit_rows_backward,
 )

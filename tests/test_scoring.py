@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from scalar_reference import reasoning_loss, score_quadruple
 from tkgdistill.encoder import init_network_params
 from tkgdistill.numerics import grad_check
 from tkgdistill.scoring import (
     NegativeSamplerConfig,
     _intern_rows,
-    reasoning_loss,
     reasoning_loss_bwd,
     reasoning_loss_fwd,
-    score_quadruple,
     translation_score,
 )
 from tkgdistill.tkg import Quadruple
@@ -142,7 +141,7 @@ class TestReasoningLoss:
         forms, negs, valid = cache["forms"], cache["negs"], cache["valid"]
         total, count = 0.0, 0
         shift = params.n_relations
-        from tkgdistill.encoder import encode_entity
+        from scalar_reference import encode_entity
 
         def rep(e, t):
             return encode_entity(params, toy_kg, int(e), int(t), b=4)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from scalar_reference import mean_similarity
 from tkgdistill import experiments
 from tkgdistill import trainer as trainer_module
 from tkgdistill.distill import transfer_events
@@ -21,6 +22,7 @@ from tkgdistill.trainer import (
     EpochBatches,
     TrainConfig,
     _interval_bounds,
+    _mean_sim_matrix,
     _student_top1_fns,
     combined_loss_and_grad,
     init_student_from_teacher,
@@ -118,6 +120,19 @@ class TestTrainConfig:
         path.write_text(f"seed = 3\n{name} = {value}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: {name} must be")):
             parse_config_file(path)
+
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            TrainConfig(seed=-1)
+        path = tmp_path / "cfg.ini"
+        path.write_text("seed = -1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: seed must be >= 0")):
+            parse_config_file(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_similarity_floor_rejected(self, value):
+        with pytest.raises(ValueError, match="^pseudo_min_similarity must be finite"):
+            TrainConfig(pseudo_min_similarity=value)
 
     def test_demo_config_parses(self, tmp_path):
         # the demo's config must name only live TrainConfig keys
@@ -517,3 +532,19 @@ class TestStudentCompletion:
         assert calls
         ungated, _ = self._transfer(monkeypatch, 0.0)
         assert "student-top1" in {r.mechanism for r in ungated}
+
+
+class TestMeanSimMatrix:
+    def test_cells_match_scalar_reference(self):
+        rng = np.random.default_rng(11)
+        h_src = rng.normal(size=(5, 7, 4))
+        h_tgt = rng.normal(size=(6, 7, 4))
+        h_src[2] = 0.0  # a dead row: every step rectified to zero
+        h_tgt[4, :3] = 0.0  # zero at some steps only
+        sim = _mean_sim_matrix(h_src, h_tgt)
+        assert sim.shape == (5, 6)
+        for i in range(5):
+            for j in range(6):
+                want = mean_similarity(h_src[i], h_tgt[j])
+                assert abs(sim[i, j] - want) <= 1e-12
+        assert np.all(sim[2] == 0.0)
