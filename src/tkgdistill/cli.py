@@ -2,7 +2,9 @@
 
 BLAS thread pools are pinned to one thread before numpy loads so that
 results are bitwise independent of ``eval --threads``, the one threaded
-command, which ranks independent time groups in parallel. ``train`` loads
+command: from 2 threads up it ranks each time step's backward queries on one
+worker thread while the main thread ranks the forward ones, and by default it
+takes 2 threads where the process may run on 2 cores. ``train`` loads
 unfrozen vocabularies (an aligned entity may have no events yet) and freezes
 them once the alignment file is read; ``eval`` loads the checkpoint's frozen
 ones, so an unknown symbol is an error.
@@ -168,11 +170,12 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     history = load_quadruples(args.history, ckpt.target_entities, ckpt.relations)
     test = load_quadruples(args.test, ckpt.target_entities, ckpt.relations)
+    student, digest = ckpt.student, ckpt.config_digest
+    seed = ckpt.seed if args.seed is None else args.seed
+    del ckpt  # ranking reads the student only: free the teacher and alignment
     report = evaluate(
-        ckpt.student, history, test.events,
-        b=args.neighbors, config_digest=ckpt.config_digest,
-        seed=ckpt.seed if args.seed is None else args.seed,
-        threads=args.threads,
+        student, history, test.events, b=args.neighbors, config_digest=digest,
+        seed=seed, threads=args.threads,
     )
     (out / "metrics.json").write_text(report.to_json(), encoding="utf-8")
     if args.per_step:
@@ -195,6 +198,13 @@ def _at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -269,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-ratio", type=float, default=0.2)
     p.add_argument("--copy-prob", type=float, default=0.6)
     p.add_argument("--emit-full", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -290,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neighbors", type=_at_least_one, default=8)
     p.add_argument("--per-step", action="store_true")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=_at_least_one, default=1)
+    p.add_argument(
+        "--threads", type=_at_least_one, default=min(2, len(os.sched_getaffinity(0)))
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -301,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", default="8,32,128,512")
     p.add_argument("--seeds", type=_at_least_one, default=None)
     p.add_argument("--epochs", type=_at_least_one, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_experiment)
     return parser

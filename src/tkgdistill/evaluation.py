@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,19 +79,19 @@ def metrics_from_ranks(ranks) -> tuple[float, float]:
 
 
 class EncodingCache:
-    """Per-time-step all-entity representations under frozen parameters.
+    """Per-time-step all-entity representations under frozen parameters,
+    each with its squared row norms, the one place either is computed.
 
     Doubles as the causality audit point: every neighbor that feeds an
     encoding at time t must be strictly earlier, and violations are counted
-    per step, so workers that encode different steps at once lose no count.
-    ``release`` drops a step the caller is done with.
+    per step. ``release`` drops a step the caller is done with.
     """
 
     def __init__(self, params: NetworkParams, kg: TemporalKG, b: int):
         self.params = params
         self.kg = kg
         self.b = b
-        self._by_time: dict[int, np.ndarray] = {}
+        self._by_time: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._violations: dict[int, int] = {}
         self.all_ids = np.arange(params.n_entities, dtype=np.int64)
 
@@ -98,12 +99,14 @@ class EncodingCache:
     def causality_violations(self) -> int:
         return sum(self._violations.values())
 
-    def at(self, t: int) -> np.ndarray:
+    def at(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(h_all, h_sq)``: the (E, d) encoding at t and its (E,) squared
+        row norms."""
         if t not in self._by_time:
             h, cache = encode_batch_fwd(self.params, self.kg, self.all_ids, t, self.b)
             used_times = np.where(cache["mask"], cache["tim"], -1)
             self._violations[t] = int((used_times >= t).sum())
-            self._by_time[t] = h
+            self._by_time[t] = h, (h * h).sum(axis=1)
         return self._by_time[t]
 
     def release(self, t: int) -> None:
@@ -111,13 +114,17 @@ class EncodingCache:
 
 
 def score_object_queries(
-    params: NetworkParams, h_all: np.ndarray, subj: np.ndarray, rel: np.ndarray
+    params: NetworkParams,
+    h_all: np.ndarray,
+    subj: np.ndarray,
+    rel: np.ndarray,
+    h_sq: np.ndarray,
 ) -> np.ndarray:
-    """Scores of every candidate object for queries (subj, rel, ?, t)."""
+    """Scores of every candidate object for queries (subj, rel, ?, t), given
+    the step's encoding and its squared row norms from ``EncodingCache.at``."""
     u = h_all[subj] + params.relation_emb[rel]  # (Q, d)
     # -(|u - h_c|^2) expanded so memory stays linear in Q + E
     u_sq = (u * u).sum(axis=1)[:, None]
-    h_sq = (h_all * h_all).sum(axis=1)[None, :]
     # (2 (u @ h_all.T) - u_sq) - h_sq in one buffer: value for value this is
     # -((u_sq - 2 (u @ h_all.T)) + h_sq), and at most the sign of a zero differs
     scores = u @ h_all.T
@@ -141,6 +148,10 @@ def evaluate(
 
     Representations at time t come from history strictly before t; the
     shared encoding cache audits that no later quadruple is ever touched.
+    One step's encoding is alive at a time. With ``threads`` of 2 or more,
+    one worker thread ranks each step's backward direction while the caller
+    ranks its forward one; more threads start no more workers. Results are
+    bitwise the same for every ``threads``.
     """
     test = np.asarray(test_quadruples, dtype=np.int64).reshape(-1, 4)
     if len(test) == 0:
@@ -150,28 +161,25 @@ def evaluate(
     steps, starts = np.unique(test[:, 3], return_index=True)
     times = steps.tolist()
     by_time = dict(zip(times, np.split(test[:, :3], starts[1:])))
-    results: dict[int, np.ndarray] = {}
 
-    def run_time(t: int) -> None:
-        # one step's encoding and one direction's (Q, E) scores alive at once
+    def rank_step(t: int, worker: ThreadPoolExecutor | None) -> np.ndarray:
+        # one step's encoding and one (Q, E) score block per direction alive
         subj, rel, obj = by_time[t].T
-        h_all = cache.at(t)
-        ranks = np.empty(2 * len(subj), dtype=np.int64)
-        ranks[0::2] = ranks_of(score_object_queries(params, h_all, subj, rel), obj)
-        ranks[1::2] = ranks_of(
-            score_object_queries(params, h_all, obj, rel + params.n_relations), subj
-        )
-        cache.release(t)
-        results[t] = ranks
+        h_all, h_sq = cache.at(t)
 
-    if threads > 1:
-        # each worker encodes, ranks and releases its own step, so at most
-        # ``threads`` steps are alive; ranks land at fixed keys
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_time, times))
-    else:
-        for t in times:
-            run_time(t)
+        def backward() -> np.ndarray:
+            rev = rel + params.n_relations
+            return ranks_of(score_object_queries(params, h_all, obj, rev, h_sq), subj)
+
+        pending = worker.submit(backward) if worker else None
+        ranks = np.empty(2 * len(subj), dtype=np.int64)
+        ranks[0::2] = ranks_of(score_object_queries(params, h_all, subj, rel, h_sq), obj)
+        ranks[1::2] = pending.result() if pending else backward()
+        cache.release(t)
+        return ranks
+
+    with ThreadPoolExecutor(max_workers=1) if threads > 1 else nullcontext() as worker:
+        results = {t: rank_step(t, worker) for t in times}
 
     if cache.causality_violations:
         raise AssertionError(
@@ -300,8 +308,9 @@ def build_nce_toy(
         pos = np.zeros(len(rows))
         neg = np.zeros((len(rows), params.n_entities))
         for i, (s, r, o, t) in enumerate(rows):
+            h_all, h_sq = cache.at(t)
             scores = score_object_queries(
-                params, cache.at(t), np.array([s]), np.array([r])
+                params, h_all, np.array([s]), np.array([r]), h_sq
             )[0]
             pos[i] = scores[o]
             neg[i] = scores

@@ -543,6 +543,8 @@ def _sample_pool_events(rng, pool, centers, halfwidth, steps, per_step):
 
 def generate_synthetic_pair(cfg: GeneratorConfig, seed: int) -> SyntheticPair:
     """Build a (source, full target, incomplete target, alignments) benchmark."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     root = np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(s) for s in root.spawn(5)]
     rng_pool, rng_events, rng_map, rng_copy, rng_cover = rngs

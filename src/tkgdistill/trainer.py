@@ -486,8 +486,9 @@ def _student_top1_fns(student: NetworkParams, kg: TemporalKG, b: int,
     cache = EncodingCache(student, kg, b)
 
     def rank_object(e: int, r: int, t: int):
+        h_all, h_sq = cache.at(t)
         scores = score_object_queries(
-            student, cache.at(t), np.array([e]), np.array([r])
+            student, h_all, np.array([e]), np.array([r]), h_sq
         )[0]
         best = int(np.argmax(scores))
         if min_top1_prob > 0.0:

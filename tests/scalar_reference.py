@@ -112,8 +112,10 @@ def rank_query(
         raise KeyError(f"unknown entity id {true_entity}")
     if cache is None:
         cache = EncodingCache(params, kg, b)
-    h_all = cache.at(t)
-    scores = score_object_queries(params, h_all, np.array([anchor]), np.array([rel]))
+    h_all, h_sq = cache.at(t)
+    scores = score_object_queries(
+        params, h_all, np.array([anchor]), np.array([rel]), h_sq
+    )
     return rank_of(scores[0], true_entity)
 
 

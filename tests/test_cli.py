@@ -1,12 +1,14 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from tkgdistill import cli
+from tkgdistill import cli, evaluation
 from tkgdistill.alignment import init_align_params
 from tkgdistill.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from tkgdistill.encoder import init_network_params
@@ -72,6 +74,16 @@ class TestSynth:
         assert (out2 / "manifest.json").read_bytes() == (
             synth_dir / "manifest.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--seed", "-1"), ("experiment", "nce-decay", "--seed", "-2"),
+    ], ids=["synth", "experiment"])
+    def test_negative_seed_rejected(self, tmp_path, argv):
+        out = tmp_path / "out"
+        res = run_cli(*argv, "--out", out)
+        assert res.returncode == 2
+        assert f"argument --seed: must be >= 0, got {argv[-1]}" in res.stderr
+        assert not out.exists()
 
 
 class TestTrain:
@@ -192,6 +204,33 @@ class TestEval:
         assert res.returncode == 2
         assert f"argument {flag}: must be at least 1, got {value}" in res.stderr
         assert not out.exists()
+
+    def test_threads_default_and_serial_run(
+        self, tmp_path, synth_dir, train_dir, monkeypatch
+    ):
+        def argv(name, *extra):
+            return [
+                "eval", "--checkpoint", str(train_dir / "checkpoint.mpkd"),
+                "--history", str(synth_dir / "target.tsv"),
+                "--test", str(synth_dir / "target.tsv"), "--neighbors", "3",
+                *extra, "--out", str(tmp_path / name),
+            ]
+
+        default = cli.build_parser().parse_args(argv("x")).threads
+        assert default == min(2, len(os.sched_getaffinity(0)))
+        score = evaluation.score_object_queries
+        idents = set()
+
+        def spy(*args):
+            idents.add(threading.get_ident())
+            return score(*args)
+
+        monkeypatch.setattr(evaluation, "score_object_queries", spy)
+        assert cli.main(argv("serial", "--threads", "1")) == 0
+        assert idents == {threading.get_ident()}
+        assert cli.main(argv("default")) == 0
+        assert ((tmp_path / "default" / "metrics.json").read_bytes()
+                == (tmp_path / "serial" / "metrics.json").read_bytes())
 
     def test_one_neighbor(self, tmp_path, synth_dir, train_dir):
         out = tmp_path / "eval"

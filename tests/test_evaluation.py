@@ -1,9 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_kg
 from scalar_reference import rank_of, rank_query
+from tkgdistill import evaluation
 from tkgdistill.encoder import init_network_params
 from tkgdistill.evaluation import (
     DiagnosticConfig,
@@ -111,7 +115,7 @@ class TestScoreObjectQueries:
         u_sq = (u * u).sum(axis=1)[:, None]
         h_sq = (h_all * h_all).sum(axis=1)[None, :]
         want = -(u_sq - 2.0 * (u @ h_all.T) + h_sq)
-        got = score_object_queries(params, h_all, subj, rel)
+        got = score_object_queries(params, h_all, subj, rel, h_sq[0])
         assert got.shape == (400, 2000)
         assert np.array_equal(got, want)
 
@@ -155,6 +159,14 @@ class TestRankQuery:
             rank_query(toy_params, toy_kg, (0, 99, None, 2), 1)
 
 
+def _tied_steps():
+    """A d = 2 model, whose many rows rectify to zero so that candidates tie,
+    with the last three of six steps as test quadruples."""
+    kg = random_kg(np.random.default_rng(3), n_entities=30, horizon=6, n_events=150)
+    params = init_network_params(30, 3, 2, seed=1, dropout_rate=0.0)
+    return params, kg, kg.events[kg.events[:, 3] >= 3]
+
+
 class TestEvaluate:
     def test_query_count_and_bounds(self, toy_params, toy_kg):
         test_quads = list(toy_kg.quadruples[:5])
@@ -178,11 +190,38 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=f"b must be at least 1, got {b}"):
             evaluate(toy_params, toy_kg, list(toy_kg.quadruples[:4]), b=b)
 
-    def test_threads_do_not_change_results(self, toy_params, toy_kg):
-        test_quads = list(toy_kg.quadruples[:8])
-        a = evaluate(toy_params, toy_kg, test_quads, b=4, threads=1)
-        b = evaluate(toy_params, toy_kg, test_quads, b=4, threads=4)
-        assert a.to_json() == b.to_json()
+    def test_threads_do_not_change_results(self):
+        params, kg, test = _tied_steps()
+        cache = EncodingCache(params, kg, 4)
+        tied_rows = 0
+        for t in np.unique(test[:, 3]).tolist():
+            subj, rel, obj = test[test[:, 3] == t, :3].T
+            h_all, h_sq = cache.at(t)
+            scores = score_object_queries(params, h_all, subj, rel, h_sq)
+            s_true = scores[np.arange(len(obj)), obj][:, None]
+            tied_rows += int(np.count_nonzero((scores == s_true).sum(axis=1) > 1))
+        assert tied_rows > 0  # so ranks_of's tie loop runs
+        reports = [evaluate(params, kg, test, b=4, threads=n).to_json()
+                   for n in (1, 2, 8)]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_eight_threads_run_code_on_one_worker(self, monkeypatch):
+        """From 2 threads up, one worker ranks each step's backward direction
+        while the caller ranks its forward one."""
+        params, kg, test = _tied_steps()
+        score = evaluation.score_object_queries
+        idents, alive = set(), []
+
+        def spy(*args):
+            idents.add(threading.get_ident())
+            alive.append(threading.active_count())
+            return score(*args)
+
+        monkeypatch.setattr(evaluation, "score_object_queries", spy)
+        before = threading.active_count()
+        evaluate(params, kg, test, b=4, threads=8)
+        assert len(idents - {threading.get_ident()}) == 1
+        assert max(alive) <= before + 1
 
     def test_ranks_match_scalar_queries(self, toy_params, toy_kg):
         test_quads = list(toy_kg.quadruples[:10])
@@ -227,6 +266,7 @@ class TestEvaluate:
         a = evaluate(toy_params, toy_kg, block, b=4)
         b = evaluate(toy_params, toy_kg, quads, b=4)
         assert a.to_json() == b.to_json()
+
 
 
 class TestTransferRatio:

@@ -12,8 +12,8 @@ loss scores one time step at a time, so no (T, P, n_targets) block is built,
 and temporal integration caches only its input and attention weights and
 forms its per-row temporaries over 64-row chunks, as the unit rows do. An
 alignment step integrates and normalises the targets once and runs only the
-backward its caller keeps. Evaluation holds one test step's encoding per
-worker.
+backward its caller keeps. Evaluation holds one test step's encoding at a
+time, and a second thread adds only its direction's score block.
 """
 
 import functools
@@ -270,7 +270,7 @@ def _eval_setup():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_eval_peak_does_not_grow_with_the_test_span(threads):
-    """``evaluate`` encodes, ranks and releases one step per worker, so the
+    """``evaluate`` encodes, ranks and releases one step at a time, so the
     traced peak over eight test steps stays within one step's encoding
     (2,000 x 128 float64, 2 MB) of the peak over two; keeping every step's
     encoding until the end held about 12 MB more."""
@@ -281,3 +281,18 @@ def test_eval_peak_does_not_grow_with_the_test_span(threads):
         for quads in (two_steps, test)
     ]
     assert peaks[1] - peaks[0] < 2 * MB, [p / MB for p in peaks]
+
+
+def test_eval_second_thread_adds_at_most_one_score_block():
+    """With 2 threads the worker scores a step's backward direction while the
+    caller scores its forward one: the traced peak grows by at most one
+    (Q_max, E) float64 block (200 x 2,000, 3.2 MB) plus 1 MB. Workers that
+    each encoded and ranked a step of their own held two steps at once."""
+    kg, params, test = _eval_setup()
+    q_max = max(np.unique([q.time for q in test], return_counts=True)[1])
+    peaks = {
+        n: _traced_peak(lambda n=n: evaluate(params, kg, test, threads=n))
+        for n in (1, 2)
+    }
+    block = int(q_max) * params.n_entities * 8
+    assert peaks[2] <= peaks[1] + block + MB, {n: p / MB for n, p in peaks.items()}

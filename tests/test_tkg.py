@@ -718,6 +718,10 @@ class TestSyntheticPair:
         for p in pair.alignments:
             assert pair.latent_map[p.source_entity] == p.target_entity
 
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError, match=r"seed must be >= 0, got -3"):
+            generate_synthetic_pair(GeneratorConfig(), -3)
+
     def test_infeasible_config_raises(self):
         with pytest.raises(ValueError):
             GeneratorConfig(coverage=1.5)
