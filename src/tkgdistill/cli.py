@@ -1,13 +1,14 @@
 """Command-line entry points: synth, train, eval, experiment.
 
 BLAS thread pools are pinned to one thread before numpy loads so that
-results are bitwise independent of ``eval --threads``, the one threaded
-command: from 2 threads up it ranks each time step's backward queries on one
-worker thread while the main thread ranks the forward ones, and by default it
-takes 2 threads where the process may run on 2 cores. ``train`` loads
-unfrozen vocabularies (an aligned entity may have no events yet) and freezes
-them once the alignment file is read; ``eval`` loads the checkpoint's frozen
-ones, so an unknown symbol is an error.
+results are bitwise independent of ``eval --threads``, the cap on the
+threads ``evaluate`` may use. At its default of 2, where the process may run
+on 2 cores and the test steps are large, a worker thread scores and ranks
+each step's backward queries while the main thread does the forward ones;
+``--threads 1`` keeps it on one thread. ``train`` loads unfrozen
+vocabularies (an aligned entity may have no events yet) and freezes them
+once the alignment file is read; ``eval`` loads the checkpoint's frozen ones,
+so an unknown symbol is an error.
 """
 
 from __future__ import annotations
@@ -300,9 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neighbors", type=_at_least_one, default=8)
     p.add_argument("--per-step", action="store_true")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--threads", type=_at_least_one, default=min(2, len(os.sched_getaffinity(0)))
-    )
+    p.add_argument("--threads", type=_at_least_one, default=2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

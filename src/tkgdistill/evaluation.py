@@ -5,7 +5,8 @@ negative-count decay diagnostic for the NCE form of the training losses.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
+from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -119,19 +120,59 @@ def score_object_queries(
     subj: np.ndarray,
     rel: np.ndarray,
     h_sq: np.ndarray,
+    worker: Executor | None = None,
 ) -> np.ndarray:
     """Scores of every candidate object for queries (subj, rel, ?, t), given
-    the step's encoding and its squared row norms from ``EncodingCache.at``."""
+    the step's encoding and its squared row norms from ``EncodingCache.at``.
+
+    ``subj`` and ``rel`` are (Q,) for one block of queries, scored into
+    (Q, E), or (k, Q) for k blocks, scored into (k, Q, E) by one product per
+    block, so a block's scores are bitwise those of scoring it alone. With a
+    ``worker`` executor, blocks 1 to k - 1 are scored on it while the caller
+    scores block 0.
+    """
+    subj, rel = np.asarray(subj), np.asarray(rel)
+    anchors, rels = np.atleast_2d(subj), np.atleast_2d(rel)
+    scores = np.empty(
+        (*anchors.shape, len(h_all)), dtype=np.result_type(h_all, params.relation_emb)
+    )
+    jobs = list(zip(anchors, rels, scores))
+    split = 1 if worker is not None else len(jobs)
+    pending = [worker.submit(_score_block, params, h_all, *job, h_sq)
+               for job in jobs[split:]]
+    for job in jobs[:split]:
+        _score_block(params, h_all, *job, h_sq)
+    for block in pending:
+        block.result()
+    return scores if subj.ndim == 2 else scores[0]
+
+
+def _score_block(params, h_all, subj, rel, out, h_sq) -> None:
     u = h_all[subj] + params.relation_emb[rel]  # (Q, d)
     # -(|u - h_c|^2) expanded so memory stays linear in Q + E
     u_sq = (u * u).sum(axis=1)[:, None]
     # (2 (u @ h_all.T) - u_sq) - h_sq in one buffer: value for value this is
-    # -((u_sq - 2 (u @ h_all.T)) + h_sq), and at most the sign of a zero differs
-    scores = u @ h_all.T
-    scores *= 2.0
-    scores -= u_sq
-    scores -= h_sq
-    return scores
+    # -((u_sq - 2 (u @ h_all.T)) + h_sq), and at most the sign of a zero differs.
+    # Doubling is exact short of overflow or subnormal products, so
+    # (2 u) @ h_all.T is bitwise 2 (u @ h_all.T), one (Q, E) pass fewer.
+    np.matmul(2.0 * u, h_all.T, out=out)
+    out -= u_sq
+    out -= h_sq
+
+
+# Below this many cells in a step's largest (Q, E) score block, scoring and
+# ranking the backward direction on a worker thread costs more than it saves:
+# on a 2-vCPU VM the worker broke even near 2e5 cells at d = 32 and d = 128,
+# and the training runs' validation and test steps have 5e3-1e5.
+WORKER_MIN_CELLS = 2**18
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity set where the platform
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def evaluate(
@@ -141,7 +182,7 @@ def evaluate(
     b: int = 8,
     config_digest: str = "",
     seed: int = 0,
-    threads: int = 1,
+    threads: int = 2,
 ) -> MetricsReport:
     """Raw MRR / Hits@10 over both query directions of every test quadruple
     (any (n, 4) array-like), step by step, in input order within a step.
@@ -149,9 +190,13 @@ def evaluate(
     Representations at time t come from history strictly before t; the
     shared encoding cache audits that no later quadruple is ever touched.
     One step's encoding is alive at a time. With ``threads`` of 2 or more,
-    one worker thread ranks each step's backward direction while the caller
-    ranks its forward one; more threads start no more workers. Results are
-    bitwise the same for every ``threads``.
+    where the process may run on 2 cores and a step's largest (Q, E) score
+    block has at least ``WORKER_MIN_CELLS`` cells, one worker thread scores
+    and ranks each step's backward direction while the caller does the
+    forward one, so two score blocks are alive instead of one; no larger
+    value starts another thread. Every encoding, and every call that scores,
+    runs on the calling thread, the worker only inside those calls or
+    ranking. Results are bitwise the same either way.
     """
     test = np.asarray(test_quadruples, dtype=np.int64).reshape(-1, 4)
     if len(test) == 0:
@@ -163,22 +208,34 @@ def evaluate(
     by_time = dict(zip(times, np.split(test[:, :3], starts[1:])))
 
     def rank_step(t: int, worker: ThreadPoolExecutor | None) -> np.ndarray:
-        # one step's encoding and one (Q, E) score block per direction alive
         subj, rel, obj = by_time[t].T
         h_all, h_sq = cache.at(t)
-
-        def backward() -> np.ndarray:
-            rev = rel + params.n_relations
-            return ranks_of(score_object_queries(params, h_all, obj, rev, h_sq), subj)
-
-        pending = worker.submit(backward) if worker else None
+        rev = rel + params.n_relations
         ranks = np.empty(2 * len(subj), dtype=np.int64)
-        ranks[0::2] = ranks_of(score_object_queries(params, h_all, subj, rel, h_sq), obj)
-        ranks[1::2] = pending.result() if pending else backward()
+        if worker is None:  # one direction's (Q, E) scores alive at a time
+            ranks[0::2] = ranks_of(
+                score_object_queries(params, h_all, subj, rel, h_sq), obj
+            )
+            ranks[1::2] = ranks_of(
+                score_object_queries(params, h_all, obj, rev, h_sq), subj
+            )
+        else:
+            scores = score_object_queries(
+                params, h_all, np.stack([subj, obj]), np.stack([rel, rev]), h_sq, worker
+            )
+            backward = worker.submit(ranks_of, scores[1], subj)
+            ranks[0::2] = ranks_of(scores[0], obj)
+            ranks[1::2] = backward.result()
         cache.release(t)
         return ranks
 
-    with ThreadPoolExecutor(max_workers=1) if threads > 1 else nullcontext() as worker:
+    q_max = max(len(rows) for rows in by_time.values())
+    use_worker = (
+        threads > 1
+        and usable_cores() > 1
+        and q_max * params.n_entities >= WORKER_MIN_CELLS
+    )
+    with ThreadPoolExecutor(max_workers=1) if use_worker else nullcontext() as worker:
         results = {t: rank_step(t, worker) for t in times}
 
     if cache.causality_violations:

@@ -16,8 +16,7 @@ ParamDict = dict[str, np.ndarray]
 
 
 def _pin_malloc_thresholds() -> None:
-    """Fix glibc's mmap threshold at 32 MiB, its trim threshold at 64 MiB and
-    its arena count at 1.
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
 
     glibc maps every block above its mmap threshold (128 KiB at start) and
     raises that threshold, with the trim threshold at twice it, only when a
@@ -26,8 +25,6 @@ def _pin_malloc_thresholds() -> None:
     temporaries are mapped anew and the heap top is trimmed on every call,
     and each first touch of their pages faults. 32 MiB is glibc's cap on the
     dynamic threshold and 64 MiB the trim threshold its rule pairs with it.
-    With one arena, ``evaluate``'s worker thread allocates from the main heap
-    and reuses its free pages instead of growing an arena of its own.
     Where libc has no ``mallopt``, nothing changes.
     """
     try:
@@ -36,7 +33,6 @@ def _pin_malloc_thresholds() -> None:
         return
     mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD
     mallopt(-1, 64 * 2**20)  # M_TRIM_THRESHOLD
-    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 _pin_malloc_thresholds()

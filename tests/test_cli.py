@@ -216,19 +216,23 @@ class TestEval:
                 *extra, "--out", str(tmp_path / name),
             ]
 
-        default = cli.build_parser().parse_args(argv("x")).threads
-        assert default == min(2, len(os.sched_getaffinity(0)))
-        score = evaluation.score_object_queries
-        idents = set()
+        # the parser builds where os has no sched_getaffinity (not Linux)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert cli.build_parser().parse_args(argv("x")).threads == 2
+        monkeypatch.setattr(evaluation, "usable_cores", lambda: 2)
+        monkeypatch.setattr(evaluation, "WORKER_MIN_CELLS", 0)
+        rank = evaluation.ranks_of
+        idents = {"serial": set(), "default": set()}
 
-        def spy(*args):
-            idents.add(threading.get_ident())
-            return score(*args)
+        for name, extra in (("serial", ("--threads", "1")), ("default", ())):
+            def spy(*args, name=name):
+                idents[name].add(threading.get_ident())
+                return rank(*args)
 
-        monkeypatch.setattr(evaluation, "score_object_queries", spy)
-        assert cli.main(argv("serial", "--threads", "1")) == 0
-        assert idents == {threading.get_ident()}
-        assert cli.main(argv("default")) == 0
+            monkeypatch.setattr(evaluation, "ranks_of", spy)
+            assert cli.main(argv(name, *extra)) == 0
+        main = {threading.get_ident()}
+        assert idents["serial"] == main and idents["default"] - main
         assert ((tmp_path / "default" / "metrics.json").read_bytes()
                 == (tmp_path / "serial" / "metrics.json").read_bytes())
 

@@ -1,4 +1,7 @@
+import os
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from tkgdistill.evaluation import (
     ranks_of,
     score_object_queries,
     transfer_ratio,
+    usable_cores,
 )
 from tkgdistill.tkg import Quadruple
 
@@ -119,6 +123,22 @@ class TestScoreObjectQueries:
         assert got.shape == (400, 2000)
         assert np.array_equal(got, want)
 
+    def test_blocks_score_as_if_alone(self):
+        """(k, Q) query blocks give each block the bits of scoring it alone,
+        whether the caller or a worker scores it."""
+        rng = np.random.default_rng(2)
+        params = init_network_params(300, 4, 16, seed=0)
+        h_all = rng.standard_normal((300, 16))
+        h_sq = (h_all * h_all).sum(axis=1)
+        subj, rel = rng.integers(0, 300, (3, 50)), rng.integers(0, 8, (3, 50))
+        alone = [score_object_queries(params, h_all, s, r, h_sq)
+                 for s, r in zip(subj, rel)]
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            for pool in (None, worker):
+                got = score_object_queries(params, h_all, subj, rel, h_sq, pool)
+                assert got.shape == (3, 50, 300)
+                assert all(np.array_equal(g, a) for g, a in zip(got, alone))
+
 
 class TestMetricsArithmetic:
     def test_mrr_closed_form(self):
@@ -159,6 +179,11 @@ class TestRankQuery:
             rank_query(toy_params, toy_kg, (0, 99, None, 2), 1)
 
 
+def _rank_on_a_worker_at_any_size(monkeypatch):
+    monkeypatch.setattr(evaluation, "usable_cores", lambda: 2)
+    monkeypatch.setattr(evaluation, "WORKER_MIN_CELLS", 0)
+
+
 def _tied_steps():
     """A d = 2 model, whose many rows rectify to zero so that candidates tie,
     with the last three of six steps as test quadruples."""
@@ -190,7 +215,8 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=f"b must be at least 1, got {b}"):
             evaluate(toy_params, toy_kg, list(toy_kg.quadruples[:4]), b=b)
 
-    def test_threads_do_not_change_results(self):
+    def test_threads_do_not_change_results(self, monkeypatch):
+        _rank_on_a_worker_at_any_size(monkeypatch)
         params, kg, test = _tied_steps()
         cache = EncodingCache(params, kg, 4)
         tied_rows = 0
@@ -201,27 +227,76 @@ class TestEvaluate:
             s_true = scores[np.arange(len(obj)), obj][:, None]
             tied_rows += int(np.count_nonzero((scores == s_true).sum(axis=1) > 1))
         assert tied_rows > 0  # so ranks_of's tie loop runs
-        reports = [evaluate(params, kg, test, b=4, threads=n).to_json()
-                   for n in (1, 2, 8)]
-        assert reports[1] == reports[0] and reports[2] == reports[0]
+        serial = evaluate(params, kg, test, b=4, threads=1).to_json()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the two threads trade the lock often
+        try:
+            reports = [evaluate(params, kg, test, b=4, threads=n).to_json()
+                       for n in (2, 8, 2, 8)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r == serial for r in reports)
 
-    def test_eight_threads_run_code_on_one_worker(self, monkeypatch):
-        """From 2 threads up, one worker ranks each step's backward direction
-        while the caller ranks its forward one."""
+    def test_layer_entries_run_on_the_calling_thread(self, monkeypatch):
+        """Every encoding and every scoring call runs on the caller's thread,
+        so a tracer that wraps them sees one thread; the worker scores and
+        ranks inside those calls, and threads=8 starts no second worker."""
+        _rank_on_a_worker_at_any_size(monkeypatch)
         params, kg, test = _tied_steps()
-        score = evaluation.score_object_queries
-        idents, alive = set(), []
+        idents = {name: set() for name in ("at", "encode", "score", "block", "rank")}
+        alive = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                idents[name].add(threading.get_ident())
+                alive.append(threading.active_count())
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(EncodingCache, "at", spy("at", EncodingCache.at))
+        for name, attr in (("encode", "encode_batch_fwd"),
+                           ("score", "score_object_queries"),
+                           ("block", "_score_block"), ("rank", "ranks_of")):
+            monkeypatch.setattr(evaluation, attr, spy(name, getattr(evaluation, attr)))
+        before = threading.active_count()
+        evaluate(params, kg, test, b=4, threads=8)
+        main = {threading.get_ident()}
+        assert idents["at"] == idents["encode"] == idents["score"] == main
+        assert len(idents["block"]) == 2 and idents["rank"] == idents["block"]
+        assert max(alive) <= before + 1
+
+    @pytest.mark.parametrize("threads, cores, min_cells, on_worker", [
+        (2, 2, 0, True),
+        (1, 2, 0, False),
+        (2, 1, 0, False),
+        (2, 2, None, False),  # the toy steps' blocks are below the default
+    ])
+    def test_worker_only_where_it_pays(
+        self, monkeypatch, threads, cores, min_cells, on_worker
+    ):
+        params, kg, test = _tied_steps()
+        monkeypatch.setattr(evaluation, "usable_cores", lambda: cores)
+        if min_cells is not None:
+            monkeypatch.setattr(evaluation, "WORKER_MIN_CELLS", min_cells)
+        idents = set()
+        rank = evaluation.ranks_of
 
         def spy(*args):
             idents.add(threading.get_ident())
-            alive.append(threading.active_count())
-            return score(*args)
+            return rank(*args)
 
-        monkeypatch.setattr(evaluation, "score_object_queries", spy)
-        before = threading.active_count()
-        evaluate(params, kg, test, b=4, threads=8)
-        assert len(idents - {threading.get_ident()}) == 1
-        assert max(alive) <= before + 1
+        monkeypatch.setattr(evaluation, "ranks_of", spy)
+        evaluate(params, kg, test, b=4, threads=threads)
+        assert (idents != {threading.get_ident()}) == on_worker
+
+    def test_usable_cores_without_an_affinity_call(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert usable_cores() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert usable_cores() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cores() == 1
 
     def test_ranks_match_scalar_queries(self, toy_params, toy_kg):
         test_quads = list(toy_kg.quadruples[:10])
@@ -266,7 +341,6 @@ class TestEvaluate:
         a = evaluate(toy_params, toy_kg, block, b=4)
         b = evaluate(toy_params, toy_kg, quads, b=4)
         assert a.to_json() == b.to_json()
-
 
 
 class TestTransferRatio:

@@ -13,12 +13,13 @@ and temporal integration caches only its input and attention weights and
 forms its per-row temporaries over 64-row chunks, as the unit rows do. An
 alignment step integrates and normalises the targets once and runs only the
 backward its caller keeps. Evaluation holds one test step's encoding at a
-time, and a second thread adds only its direction's score block.
+time, and a second thread adds only the backward direction's score block.
 """
 
 import functools
 import platform
 import resource
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -26,7 +27,7 @@ import numpy as np
 import pytest
 
 from alignment_reference import alignment_step
-from tkgdistill import experiments
+from tkgdistill import evaluation, experiments
 from tkgdistill.alignment import init_align_params, temporal_integrate_batch_fwd
 from tkgdistill.encoder import encode_trajectories_fwd, init_network_params
 from tkgdistill.evaluation import evaluate
@@ -283,16 +284,26 @@ def test_eval_peak_does_not_grow_with_the_test_span(threads):
     assert peaks[1] - peaks[0] < 2 * MB, [p / MB for p in peaks]
 
 
-def test_eval_second_thread_adds_at_most_one_score_block():
-    """With 2 threads the worker scores a step's backward direction while the
-    caller scores its forward one: the traced peak grows by at most one
-    (Q_max, E) float64 block (200 x 2,000, 3.2 MB) plus 1 MB. Workers that
-    each encoded and ranked a step of their own held two steps at once."""
+def test_eval_second_thread_adds_at_most_one_score_block(monkeypatch):
+    """With 2 threads a worker scores and ranks each step's backward
+    direction while the caller does the forward one: the traced peak grows
+    by at most one (Q_max, E) float64 block (200 x 2,000, 3.2 MB) plus 1 MB.
+    Workers that each encoded and ranked a step of their own held two steps
+    at once."""
+    monkeypatch.setattr(evaluation, "usable_cores", lambda: 2)
+    rank, idents = evaluation.ranks_of, set()
+
+    def spy(*args):
+        idents.add(threading.get_ident())
+        return rank(*args)
+
+    monkeypatch.setattr(evaluation, "ranks_of", spy)
     kg, params, test = _eval_setup()
     q_max = max(np.unique([q.time for q in test], return_counts=True)[1])
     peaks = {
         n: _traced_peak(lambda n=n: evaluate(params, kg, test, threads=n))
         for n in (1, 2)
     }
+    assert idents - {threading.get_ident()}  # the 2-thread run used a worker
     block = int(q_max) * params.n_entities * 8
     assert peaks[2] <= peaks[1] + block + MB, {n: p / MB for n, p in peaks.items()}
