@@ -10,8 +10,11 @@ index arrays, attention weights, the (n, d) aggregate, the ReLU mask and
 the dropout mask. The backward gathers the centre and neighbor rows of
 ``entity_emb`` again, which gives the forward's values because the
 parameters do not change between a forward and its backward. A trajectory
-of 28 steps keeps none of its steps' caches: its backward rebuilds each
-one, by the same argument, just before that step's backward.
+of 28 steps keeps none of its steps' caches. Both its directions form the
+windows and weights of all steps in one ``_attention`` pass; only the
+aggregation, the (n, d) @ W product (over all steps' rows it would round
+differently) and the ReLU run per step, and the backward builds a step's
+aggregate again, by the same argument, just before that step's backward.
 
 Neither direction builds one either: both gather neighbor rows one slice
 of ``ceil(n / b)`` rows (at least 256) at a time, so a gathered slice is
@@ -26,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .numerics import ParamDict, softmax_masked_rows, softmax_rows_backward
+from .numerics import (
+    ParamDict, narrow_keys, scatter_matrix, softmax_masked_rows, softmax_rows_backward,
+)
 from .tkg import TemporalKG
 
 @dataclass
@@ -128,6 +132,48 @@ def _row_slices(n: int, b: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
+def _attention(params, kg, ids, h_c, t, b) -> list[dict]:
+    """Neighbor windows and attention weights of the rows ``ids`` (own
+    embeddings ``h_c``) at each step of ``t``, (k, 1) or (k, n): one dict
+    per step from one neighbor lookup and one softmax. Logits score each
+    (neighbor, relation, time-gap) triple against the attention vector,
+    each term looked up from a per-entity, per-relation or per-gap table.
+    Each step's gap table spans its own largest gap, as a call for that
+    step alone: a (gaps, d) @ (d,) product rounds with its row count.
+    """
+    nbr, rel, tim, mask = kg.neighbor_arrays(ids, t, b)
+    delta = (t[..., None] - tim) * mask
+    a1, a2, a3, a4 = params.attn_a.reshape(4, -1)
+    tables = [time_table(params, int(gaps.max(initial=0))) for gaps in delta]
+    logits = (
+        (h_c @ a1)[:, None]
+        + (params.entity_emb @ a2)[nbr]
+        + (params.relation_emb @ a3)[rel]
+        + np.stack([(table @ a4)[gaps] for table, gaps in zip(tables, delta)])
+    )
+    windows = {
+        "nbr": nbr, "rel": rel, "tim": tim, "mask": mask, "delta": delta,
+        "kappa_tab": tables, "has_nb": mask.any(axis=-1),
+        "alpha": softmax_masked_rows(logits, mask),  # no-history rows come back zero
+    }
+    return [{key: value[s] for key, value in windows.items()} for s in range(len(t))]
+
+
+def _messages(params, h_c, step, b) -> tuple[np.ndarray, np.ndarray]:
+    """(n, d) aggregates of one step's windows, and their messages agg @ W.
+    Padded slots hold entity 0 at zero weight, so they add nothing; each
+    slice of rows gathers its own neighbor rows for the same per-row matmul.
+    Rows without history aggregate their own embedding."""
+    agg = np.empty_like(h_c)
+    for part in _row_slices(len(h_c), b):
+        np.matmul(
+            step["alpha"][part, None, :], params.entity_emb[step["nbr"][part]],
+            out=agg[part, None, :],
+        )
+    np.copyto(agg, h_c, where=~step["has_nb"][:, None])
+    return agg, agg @ params.transform_W
+
+
 def encode_batch_fwd(
     params: NetworkParams,
     kg: TemporalKG,
@@ -139,42 +185,15 @@ def encode_batch_fwd(
     """One aggregation layer for every entity in ``ids`` at time ``t``.
 
     ``t`` is one time for all rows or one time per row. Entities without
-    history fall back to ReLU(h0 @ W). Attention logits score each
-    (neighbor, relation, time-gap) triple against the shared attention
-    vector; those three terms are looked up from per-entity, per-relation
-    and per-gap tables. Weights are a masked softmax over the sampled
-    neighbors. The dropout mask is drawn in one call, row by row, so rows
-    sorted by time draw what one call per time group would.
+    history fall back to ReLU(h0 @ W). ``_attention`` takes all rows as one
+    step. The dropout mask is drawn in one call, row by row, so rows sorted
+    by time draw what one call per time group would.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    t = np.asarray(t, dtype=np.int64)
-    nbr, rel, tim, mask = kg.neighbor_arrays(ids, t, b)
-    has_nb = mask.any(axis=1)
-
     h_c = params.entity_emb[ids]  # (n, d)
-    delta = (t.reshape(-1, 1) - tim) * mask
-    kappa_tab = time_table(params, int(delta.max(initial=0)))
-
-    a1, a2, a3, a4 = params.attn_a.reshape(4, -1)
-    logits = (
-        (h_c @ a1)[:, None]
-        + (params.entity_emb @ a2)[nbr]
-        + (params.relation_emb @ a3)[rel]
-        + (kappa_tab @ a4)[delta]
-    )
-    alpha = softmax_masked_rows(logits, mask)  # no-history rows come back zero
-
-    # Padded slots hold entity 0 but get exactly zero attention weight, so
-    # they add nothing to ``agg`` or to any gradient. Each slice of rows
-    # gathers its own neighbor rows and runs the same per-row matmul.
-    agg = np.empty_like(h_c)
-    for part in _row_slices(len(ids), b):
-        np.matmul(
-            alpha[part, None, :], params.entity_emb[nbr[part]],
-            out=agg[part, None, :],
-        )
-    np.copyto(agg, h_c, where=~has_nb[:, None])  # fallback aggregates the raw row
-    msg = agg @ params.transform_W
+    t = np.asarray(t, dtype=np.int64).reshape(1, -1)
+    (step,) = _attention(params, kg, ids, h_c, t, b)
+    agg, msg = _messages(params, h_c, step, b)
     if dropout_rng is not None and params.dropout_rate > 0.0:
         dmask = dropout_mask(msg.shape, params.dropout_rate, dropout_rng)
         msg *= dmask
@@ -182,11 +201,7 @@ def encode_batch_fwd(
         dmask = None
     live = msg > 0.0
     out = np.maximum(msg, 0.0, out=msg)
-    cache = {
-        "ids": ids, "nbr": nbr, "rel": rel, "tim": tim, "mask": mask,
-        "delta": delta, "kappa_tab": kappa_tab, "has_nb": has_nb,
-        "alpha": alpha, "agg": agg, "live": live, "dmask": dmask,
-    }
+    cache = {"ids": ids, **step, "agg": agg, "live": live, "dmask": dmask}
     return out, cache
 
 
@@ -255,17 +270,11 @@ def encode_batch_bwd(
     # slot], so its sum adds the same products in the same order as a
     # scatter of those rows would, and no (slots, d) block is built.
     rows, slots = np.nonzero(mask)
-    ent = np.concatenate([ids, nbr[rows, slots]])
-    order = np.argsort(ent, kind="stable")
-    indptr = np.zeros(params.n_entities + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ent, minlength=params.n_entities), out=indptr[1:])
-    messages = sparse.csr_array(
-        (
-            np.concatenate([np.ones(n), alpha[rows, slots]])[order],
-            np.concatenate([np.arange(n), n + rows])[order],
-            indptr,
-        ),
-        shape=(params.n_entities, 2 * n),
+    messages = scatter_matrix(
+        np.concatenate([ids, nbr[rows, slots]]),
+        np.concatenate([np.arange(n), n + rows]),
+        np.concatenate([np.ones(n), alpha[rows, slots]]),
+        (params.n_entities, 2 * n),
     )
     grads["entity_emb"] += messages @ g_both
 
@@ -288,7 +297,7 @@ def encode_many_fwd(
     by time, so dropout draws match one call per time step in ascending order.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    order = np.argsort(pairs[:, 1], kind="stable")
+    order = np.argsort(narrow_keys(pairs[:, 1]), kind="stable")
     h, cache = encode_batch_fwd(
         params, kg, pairs[order, 0], pairs[order, 1], b, dropout_rng
     )
@@ -310,28 +319,34 @@ def encode_trajectories_fwd(
 ) -> tuple[np.ndarray, dict]:
     """(n, t_max, d) trajectories over times 1..t_max for all ``ids``.
 
-    The cache names only the graph, the ids and ``b``: no step's encoder
-    cache outlives its step, and ``encode_trajectories_bwd`` builds each
-    one again.
+    Column t - 1 is bitwise ``encode_batch_fwd(params, kg, ids, t, b)``:
+    one ``_attention`` call covers every step, and only the aggregation, the
+    message product and the ReLU run per step. The cache names only the
+    graph, the ids and ``b``.
     """
     if t_max < 1 or t_max > kg.horizon:
         raise ValueError(f"t_max must be in [1, horizon], got {t_max}")
     ids = np.asarray(ids, dtype=np.int64)
-    out = np.zeros((len(ids), t_max, params.dim))
-    for t in range(1, t_max + 1):
-        out[:, t - 1] = encode_batch_fwd(params, kg, ids, t, b)[0]
+    h_c = params.entity_emb[ids]
+    out = np.empty((len(ids), t_max, params.dim))
+    times = np.arange(1, t_max + 1)[:, None]
+    for s, step in enumerate(_attention(params, kg, ids, h_c, times, b)):
+        np.maximum(_messages(params, h_c, step, b)[1], 0.0, out=out[:, s])
     return out, {"kg": kg, "ids": ids, "b": b}
 
 
 def encode_trajectories_bwd(grad_traj, cache, params, grads) -> None:
     """Backward of ``encode_trajectories_fwd``, one step at a time.
 
-    Each step's encoder cache is rebuilt just before its backward: a
+    One ``_attention`` call builds every step's windows and weights again,
+    and each step's aggregates are built again just before its backward: a
     trajectory draws no dropout, so with the forward's parameters and graph
-    the rebuilt cache is the forward's bit for bit, and only one step's
-    cache is alive at a time.
+    both are the forward's bit for bit.
     """
     kg, ids, b = cache["kg"], cache["ids"], cache["b"]
-    for t_idx in range(grad_traj.shape[1]):
-        _, sub = encode_batch_fwd(params, kg, ids, t_idx + 1, b)
-        encode_batch_bwd(grad_traj[:, t_idx], sub, params, grads)
+    h_c = params.entity_emb[ids]
+    times = np.arange(1, grad_traj.shape[1] + 1)[:, None]
+    for s, step in enumerate(_attention(params, kg, ids, h_c, times, b)):
+        agg, msg = _messages(params, h_c, step, b)
+        sub = {"ids": ids, **step, "agg": agg, "live": msg > 0.0, "dmask": None}
+        encode_batch_bwd(grad_traj[:, s], sub, params, grads)

@@ -1,5 +1,5 @@
-"""Dense numerical core: row-wise masked softmax, row scatters, unit rows,
-Adam, finite-difference checks, and the process's malloc thresholds.
+"""Dense numerical core: masked softmax, row scatters and their sort keys,
+unit rows, Adam, finite-difference checks, and the process's malloc thresholds.
 
 All arithmetic is float64. Parameter collections are plain ``dict[str, np.ndarray]``
 so the optimizer and the gradient checker stay agnostic of model structure.
@@ -11,6 +11,7 @@ import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 ParamDict = dict[str, np.ndarray]
 
@@ -64,19 +65,36 @@ def softmax_rows_backward(alpha: np.ndarray, grad_alpha: np.ndarray) -> np.ndarr
     return grad_alpha
 
 
+def narrow_keys(keys: np.ndarray) -> np.ndarray:
+    """Non-negative integer ``keys`` in the narrowest unsigned dtype that holds
+    them: same order, and numpy's stable sort (``np.unique``'s, when it gives
+    indices) is then a linear radix sort for keys below 2**16."""
+    keys = np.asarray(keys)
+    return keys.astype(np.min_scalar_type(int(keys.max(initial=0))), copy=False)
+
+
+def scatter_matrix(idx, cols, data, shape: tuple[int, int]) -> sparse.csr_array:
+    """CSR matrix with entry ``(idx[i], cols[i]) = data[i]``, each row's
+    entries in the order of i: a product with it sums each row's terms from
+    zero in that order, as a weighted ``np.bincount`` over ``idx`` would."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=shape[0]), out=indptr[1:])
+    order = np.argsort(narrow_keys(idx), kind="stable")
+    return sparse.csr_array((data[order], cols[order], indptr), shape=shape)
+
+
 def add_rows_at(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
     """``out[idx[i]] += rows[i]`` for every i, summing duplicate indices.
 
-    ``np.add.at`` semantics through one weighted ``np.bincount`` over the
-    flattened (row, column) cells; each cell's sum is formed apart from
-    ``out`` and then added, so results can differ from ``np.add.at`` in the
+    ``np.add.at`` semantics through one ``scatter_matrix`` product, with no
+    per-cell index: each cell's sum is formed in index order, bit for bit as
+    a weighted ``np.bincount`` over the (row, column) cells forms it, and
+    then added to ``out``, so results can differ from ``np.add.at`` in the
     last bits.
     """
-    n, d = out.shape
-    cells = (np.asarray(idx, dtype=np.int64).reshape(-1, 1) * d + np.arange(d)).ravel()
-    out += np.bincount(
-        cells, weights=np.asarray(rows).reshape(-1), minlength=n * d
-    ).reshape(n, d)
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    m = idx.size
+    out += scatter_matrix(idx, np.arange(m), np.ones(m), (len(out), m)) @ rows
 
 
 # leading rows per chunk of a per-row temporary: the unit rows' norms and

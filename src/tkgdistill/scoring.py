@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import NetworkParams, encode_many_bwd, encode_many_fwd
-from .numerics import ParamDict, add_rows_at
+from .numerics import ParamDict, add_rows_at, narrow_keys
 from .tkg import Quadruple, TemporalKG
 
 
@@ -78,7 +78,9 @@ def _intern_rows(
     ents = np.concatenate([forms[:, 0], forms[:, 2], negs.reshape(-1)])
     tims = np.concatenate([times, times, np.repeat(times, n_negs)])
     keys = tims * (int(ents.max(initial=0)) + 1) + ents
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(
+        narrow_keys(keys), return_index=True, return_inverse=True
+    )
     # np.unique ranks keys by value; re-rank them by first appearance
     by_first = np.argsort(first)
     rank = np.empty_like(by_first)

@@ -90,14 +90,15 @@ class TemporalKG:
     The index holds each quadruple twice: once under the subject (with the
     object as neighbor) and once under the object (with the subject as
     neighbor). Entries are sorted by (entity, time, neighbor, relation),
-    which fixes a deterministic total order for neighbor sampling. The
-    entries of entity ``e`` before time ``t`` are those whose key
-    ``entity * (horizon + 1) + time`` lies in ``[e * (horizon + 1),
-    e * (horizon + 1) + t)``, found by binary search, so an entity added to
-    the vocabulary after the graph was built has none. This is the
+    which fixes a deterministic total order for neighbor sampling. A table
+    of ``n_entities + 1`` run starts gives each entity's run of entries; the
+    entries of entity ``e`` before time ``t`` run from its start to the
+    first entry whose key ``entity * (horizon + 1) + time`` is at least
+    ``e * (horizon + 1) + t``, found by one binary search. An entity added
+    to the vocabulary after the graph was built has none. This is the
     per-node sorted layout (T-CSR) of TGL (Zhou et al., VLDB 2022): memory
-    is O(|Q|) whatever the lookup width. Every key, and the end of the last
-    entity's run, must fit in int64.
+    is O(|Q| + E) whatever the lookup width. Every key, and the end of the
+    last entity's run, must fit in int64.
     """
 
     def __init__(
@@ -148,6 +149,7 @@ class TemporalKG:
             order = np.lexsort((rel, nbr, tim, ent))
         ent, nbr, rel, tim = ent[order], nbr[order], rel[order], tim[order]
         self._key = ent * (horizon + 1) + tim
+        self._start = np.searchsorted(ent, np.arange(n_ent + 1))
         # one zero entry past the end: padded lookup slots gather from it
         self._nbr, self._rel, self._time = (np.append(x, 0) for x in (nbr, rel, tim))
 
@@ -160,8 +162,7 @@ class TemporalKG:
         """Index entries of ``e`` as (neighbor, relation, time) tuples."""
         if not 0 <= e < len(self.entities):
             raise KeyError(f"unknown entity id {e}")
-        width = self.horizon + 1
-        run = slice(*np.searchsorted(self._key, [e * width, (e + 1) * width]))
+        run = slice(*self._start[np.minimum([e, e + 1], self._start.size - 1)])
         return list(zip(
             self._nbr[run].tolist(), self._rel[run].tolist(), self._time[run].tolist()
         ))
@@ -173,15 +174,18 @@ class TemporalKG:
 
         Row i holds the ``b`` latest entries of ``ids[i]`` strictly before
         its time, oldest first, then padding (zeros, mask False). ``t`` is
-        one time for every row or one time per row of ``ids``.
+        one time for every row, one per row of ``ids``, or any shape that
+        broadcasts against them, such as a (k, 1) column of k steps.
         """
         if b < 1:
             raise ValueError(f"neighbour count b must be at least 1, got {b}")
         ids = np.asarray(ids, dtype=np.int64)
+        if ids.min(initial=0) < 0:
+            raise ValueError(f"entity id {ids.min()} is negative")
         # no entry lies before a time below 0; every entry lies before horizon
         t = np.clip(np.asarray(t, dtype=np.int64), 0, self.horizon)
-        base = ids * (self.horizon + 1)
-        lo, hi = np.searchsorted(self._key, np.stack([base, base + t]))
+        hi = np.searchsorted(self._key, ids * (self.horizon + 1) + t)
+        lo = self._start[np.minimum(ids, self._start.size - 1)]  # newer ids: none
         first = np.maximum(lo, hi - b)
         idx = first[..., None] + np.arange(b)
         mask = idx < hi[..., None]

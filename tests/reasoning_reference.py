@@ -7,9 +7,12 @@ neighbour block and keep the gathered ``(F, N, d)`` negatives in the loss
 cache, as the package did before. The tests hold the two forms bitwise
 equal: outputs, caches and every gradient.
 
-The trajectory forms keep every step's encoder cache from the forward to
-the backward, as the package did before it rebuilt each step's cache in
-the backward.
+The trajectory forms run one encoder call per step, as the package did
+before one neighbour lookup and one attention pass covered every step:
+the forward keeps no step's cache, and the backward rebuilds each one just
+before that step's backward. ``add_rows_at`` is the weighted ``bincount``
+over the flattened (row, column) cells that the package's sparse product
+replaced; the reference loss scatters through it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from tkgdistill.encoder import (
     encode_many_fwd,
     time_table,
 )
-from tkgdistill.numerics import add_rows_at, softmax_masked_rows, softmax_rows_backward
+from tkgdistill.numerics import softmax_masked_rows, softmax_rows_backward
 from tkgdistill.scoring import (
     _build_forms,
     _intern_rows,
@@ -176,17 +179,26 @@ def reasoning_loss_bwd(cache, params, grads) -> None:
     encode_many_bwd(grad_reps, cache["enc_cache"], params, grads)
 
 
+def add_rows_at(out, idx, rows) -> None:
+    n, d = out.shape
+    cells = (np.asarray(idx, dtype=np.int64).reshape(-1, 1) * d + np.arange(d)).ravel()
+    out += np.bincount(
+        cells, weights=np.asarray(rows).reshape(-1), minlength=n * d
+    ).reshape(n, d)
+
+
 def encode_trajectories_fwd(params, kg, ids, t_max, b=8):
+    if t_max < 1 or t_max > kg.horizon:
+        raise ValueError(f"t_max must be in [1, horizon], got {t_max}")
     ids = np.asarray(ids, dtype=np.int64)
     out = np.zeros((len(ids), t_max, params.dim))
-    caches = []
     for t in range(1, t_max + 1):
-        h, cache = encoder.encode_batch_fwd(params, kg, ids, t, b)
-        out[:, t - 1] = h
-        caches.append(cache)
-    return out, {"caches": caches}
+        out[:, t - 1] = encoder.encode_batch_fwd(params, kg, ids, t, b)[0]
+    return out, {"kg": kg, "ids": ids, "b": b}
 
 
 def encode_trajectories_bwd(grad_traj, cache, params, grads) -> None:
-    for t_idx, sub in enumerate(cache["caches"]):
+    kg, ids, b = cache["kg"], cache["ids"], cache["b"]
+    for t_idx in range(grad_traj.shape[1]):
+        _, sub = encoder.encode_batch_fwd(params, kg, ids, t_idx + 1, b)
         encoder.encode_batch_bwd(grad_traj[:, t_idx], sub, params, grads)

@@ -11,6 +11,7 @@ from tkgdistill.numerics import (
     adam_step,
     add_rows_at,
     grad_check,
+    narrow_keys,
     unit_rows,
     unit_rows_backward,
 )
@@ -252,6 +253,36 @@ class TestAddRowsAt:
         out = np.ones((3, 2))
         add_rows_at(out, np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
         assert np.array_equal(out, np.ones((3, 2)))
+
+
+# keys around the 8- and 16-bit boundaries, where the narrow dtype changes
+_boundary_keys = st.lists(
+    st.sampled_from([0, 1, 254, 255, 256, 257, 65534, 65535, 65536, 65537, 2**40]),
+    max_size=60,
+)
+
+
+class TestNarrowKeys:
+    @given(st.one_of(_boundary_keys, st.lists(st.integers(0, 70_000), max_size=60)))
+    @example([])
+    @example([7] * 20)
+    @example([255] * 5 + [0] * 5)
+    @example([65535, 256, 65535, 255])
+    @settings(max_examples=200, deadline=None)
+    def test_stable_order_equals_int64_order(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        narrow = narrow_keys(keys)
+        assert np.array_equal(
+            np.argsort(narrow, kind="stable"), np.argsort(keys, kind="stable")
+        )
+        assert np.array_equal(narrow, keys)
+
+    @pytest.mark.parametrize("top, dtype", [
+        (0, np.uint8), (255, np.uint8), (256, np.uint16), (65535, np.uint16),
+        (65536, np.uint32),
+    ])
+    def test_narrowest_unsigned_dtype(self, top, dtype):
+        assert narrow_keys(np.array([top, 0], dtype=np.int64)).dtype == dtype
 
 
 class TestAdam:

@@ -321,6 +321,21 @@ class TestNeighborArrays:
         )
         assert not mask.any() and not (nbr.any() or rel.any() or tim.any())
 
+    def test_column_of_times_gives_one_block_per_step(self):
+        kg = random_kg(np.random.default_rng(18), n_events=40)
+        ids = np.array([3, 0, 6, 3])
+        steps = np.arange(-1, kg.horizon + 2)[:, None]
+        got = kg.neighbor_arrays(ids, steps, 3)
+        for s, t in enumerate(steps[:, 0]):
+            want = self._assert_matches_reference(kg, ids, int(t), 3)
+            for x, y in zip(got, want):
+                assert np.array_equal(x[s], y)
+
+    def test_negative_id_is_rejected(self, toy_kg):
+        # a negative id would gather another entity's row in the encoder
+        with pytest.raises(ValueError, match="entity id -2 is negative"):
+            toy_kg.neighbor_arrays(np.array([0, -2, 1, -1]), 3, 2)
+
     def test_entity_added_to_the_vocabulary_later_has_no_neighbors(self):
         # load_alignments into an unfrozen vocabulary grows what graphs share
         entities = Vocabulary(["a", "b"])
