@@ -140,7 +140,7 @@ def _toy():
 
 
 def _history_free():
-    # entity 0 has no event at all; entity 1's only neighbour arrives at t = 2
+    # entity 0 has no event at all; entities 1 and 2 meet only at t = 1
     kg = TemporalKG(
         Vocabulary.integers(3), Vocabulary.integers(1), [Quadruple(1, 0, 2, 1)], 6
     )
