@@ -23,7 +23,7 @@ alignment_negatives = 12
 time_intervals = 4
 warmup_epochs_before_generation = 3
 pseudo_min_similarity = 0.85
-transfer_min_top1_prob = 2.0
+top1_completion = false
 patience = 10
 """
 

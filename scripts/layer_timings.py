@@ -84,7 +84,7 @@ def _reasoning(name, gen, cfg, seed, repeats):
         len(kg.entities), len(kg.relations), cfg.dim, seed, cfg.dropout
     )
     batch = kg.events[np.random.default_rng(seed).permutation(len(kg.events))[:256]]
-    neg = NegativeSamplerConfig(cfg.reasoning_negatives, seed)
+    neg = NegativeSamplerConfig(cfg.reasoning_negatives)
 
     def fwd(_=None):
         return reasoning_loss_fwd(

@@ -11,9 +11,10 @@ generators and training schedules of the perfbench workloads of the same
 names, and prints sha256 prefixes of the teacher, student and alignment
 parameter bytes and of the MetricsReport JSON without ``config_digest``
 (which changes whenever a TrainConfig field is added or removed). A
-``uniform`` line per seed follows each desk line: the desk config on the
-same pair with ``uniform_strength`` set, the ablation arm of the
-noise-robustness criterion.
+``uniform`` and a ``pure`` line per seed follow each desk line: the desk
+config on the same pair under the ``uniform_strength`` and the
+``pure_training`` ablation presets, the comparison arms of the
+noise-robustness and the transfer-gain criteria.
 
 An ``eval`` line per seed, after its own ``pair`` line, covers the
 read-only path: the generator and untrained d=128 checkpoint of the
@@ -56,7 +57,7 @@ from tkgdistill.tkg import (  # noqa: E402
     generate_synthetic_pair,
     split_by_time,
 )
-from tkgdistill.trainer import TrainConfig  # noqa: E402
+from tkgdistill.trainer import ABLATIONS, TrainConfig  # noqa: E402
 
 CONFIGS = {
     "desk": (
@@ -170,8 +171,10 @@ def main() -> int:
             print(f"pair {name} seed {seed}: {_pair_digest(pair)}", flush=True)
             print(_run_line(name, pair, replace(cfg, seed=seed)), flush=True)
             if name == "desk":
-                uniform = replace(cfg, seed=seed, uniform_strength=True)
-                print(_run_line("uniform", pair, uniform), flush=True)
+                for line, ablation in (("uniform", "uniform_strength"),
+                                       ("pure", "pure_training")):
+                    arm = replace(cfg, seed=seed, **ABLATIONS[ablation])
+                    print(_run_line(line, pair, arm), flush=True)
     for seed in args.seeds:
         pair = generate_synthetic_pair(EVAL_GENERATOR, seed)
         print(f"pair eval seed {seed}: {_pair_digest(pair)}", flush=True)

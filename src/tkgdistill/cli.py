@@ -41,9 +41,13 @@ from .tkg import (
     load_alignments,
     load_quadruples,
 )
-from .trainer import TrainConfig, parse_config_file, pretrain_teacher, train_mpkd
-
-ABLATIONS = ("uniform_strength", "pure_training", "no_pseudo", "no_event_transfer")
+from .trainer import (
+    ABLATIONS,
+    TrainConfig,
+    parse_config_file,
+    pretrain_teacher,
+    train_mpkd,
+)
 
 
 def _sha256_file(path: Path) -> str:
@@ -122,9 +126,8 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     for name in args.ablation or ():
-        overrides[name] = True
-    if overrides:
-        cfg = replace(cfg, **overrides)
+        overrides.update(ABLATIONS[name])
+    cfg = replace(cfg, **overrides)
 
     source, target, alignments = _load_bilingual(args, cfg.split().total_steps)
 
@@ -152,13 +155,14 @@ def cmd_train(args) -> int:
             )
     manifest = {
         "command": "train",
-        "config": {k: v for k, v in asdict(cfg).items()},
+        "config": asdict(cfg),
         "config_digest": cfg.digest(),
         "best_epoch": state.best_epoch,
         "best_val_mrr": state.best_val,
         "files": {
             name: _sha256_file(out / name)
-            for name in ("checkpoint.mpkd", "checkpoint.mpkd.json", "log.tsv")
+            for name in ("checkpoint.mpkd", "checkpoint.mpkd.json", "log.tsv",
+                         "pseudo_audit.tsv")
         },
     }
     _write_json(out / "manifest.json", manifest)

@@ -273,16 +273,11 @@ def transfer_ratio(model_scores, baseline_score: float) -> float:
 
 @dataclass(frozen=True)
 class DiagnosticConfig:
-    temperature: float = 1.0
     negative_counts: tuple[int, ...] = (8, 32, 128, 512)
     seeds: tuple[int, ...] = tuple(range(31))
     limit_estimate_n: int = 8192
-    pseudo_ratio: float = 1.0  # pseudo positives per ground-truth positive
-    pseudo_correct: float = 0.8  # portion of pseudo positives left uncorrupted
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
         if list(self.negative_counts) != sorted(set(self.negative_counts)):
             raise ValueError("negative counts must be strictly ascending")
         if self.limit_estimate_n <= max(self.negative_counts):
@@ -304,10 +299,8 @@ class NCEToy:
 def nce_loss(
     pos: np.ndarray, neg_table: np.ndarray, n: int, rng: np.random.Generator
 ) -> float:
-    """Softmax-with-negatives loss; negatives sampled uniformly per positive.
-
-    Inputs are already divided by the temperature.
-    """
+    """Softmax-with-negatives loss at unit temperature; negatives sampled
+    uniformly per positive."""
     p, e = neg_table.shape
     idx = rng.integers(0, e, size=(p, n))
     neg = np.take_along_axis(neg_table, idx, axis=1)
@@ -316,11 +309,11 @@ def nce_loss(
     return float((-(pos - mx) + np.log(z)).mean())
 
 
-def combined_nce(toy: NCEToy, n: int, tau: float, rng: np.random.Generator) -> float:
+def combined_nce(toy: NCEToy, n: int, rng: np.random.Generator) -> float:
     """Set-size weighted sum of the ground-truth and pseudo NCE terms."""
     w_gt = len(toy.gt_pos) / (len(toy.gt_pos) + len(toy.ps_pos))
-    l_gt = nce_loss(toy.gt_pos / tau, toy.gt_neg / tau, n, rng)
-    l_ps = nce_loss(toy.ps_pos / tau, toy.ps_neg / tau, n, rng)
+    l_gt = nce_loss(toy.gt_pos, toy.gt_neg, n, rng)
+    l_ps = nce_loss(toy.ps_pos, toy.ps_neg, n, rng)
     return w_gt * l_gt + (1.0 - w_gt) * l_ps
 
 
@@ -331,11 +324,9 @@ def nce_deviation_sweep(
 
     The limit is estimated at ``limit_estimate_n`` and averaged over seeds.
     """
-    tau = cfg.temperature
-
     def shifted(n: int, seed: int) -> float:
         rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
-        return combined_nce(toy, n, tau, rng) - float(np.log(n))
+        return combined_nce(toy, n, rng) - float(np.log(n))
 
     limit = float(np.mean([shifted(cfg.limit_estimate_n, s) for s in cfg.seeds]))
     rows: list[tuple[int, float]] = []

@@ -24,11 +24,17 @@ from .tkg import (
     inject_alignment_noise,
     split_by_time,
 )
-from .trainer import TEACHER_FIELDS, TrainConfig, pretrain_teacher, train_mpkd
+from .trainer import (
+    ABLATIONS,
+    TEACHER_FIELDS,
+    TrainConfig,
+    pretrain_teacher,
+    train_mpkd,
+)
 
 # Desk-scale operating point used by the harnesses: same data shape as the
 # benchmark protocol, smaller model and schedule so full sweeps stay fast.
-# The transfer confidence gate above 1 keeps only alignment-lookup events
+# Without top-1 completion, event transfer keeps only alignment-lookup events
 # (argmax completions are unreliable at this scale), and the similarity
 # floor prunes pseudo pairs down to the trustworthy head.
 DESK_GENERATOR = GeneratorConfig(target_background_per_step=4)
@@ -43,7 +49,7 @@ DESK_TRAIN = TrainConfig(
     alignment_negatives=32,
     warmup_epochs_before_generation=6,
     pseudo_min_similarity=0.8,
-    transfer_min_top1_prob=2.0,
+    top1_completion=False,
     patience=24,
 )
 
@@ -97,7 +103,7 @@ def run_single_model(
     target_kg, cfg: TrainConfig
 ) -> MetricsReport:
     """Reference line: one encoder trained on the target graph alone."""
-    solo = replace(cfg, pure_training=True)
+    solo = replace(cfg, **ABLATIONS["pure_training"])
     state = train_mpkd(target_kg, target_kg, AlignmentSet([]), solo, teacher=None)
     _, _, test_part = split_by_time(target_kg, cfg.split())
     return evaluate(
@@ -117,7 +123,8 @@ def transfer_gain_experiment(
         base = replace(cfg.train, seed=seed)
         report, _ = run_transfer(pair, base, bank)
         out["full"].append(report.mrr)
-        report, _ = run_transfer(pair, replace(base, pure_training=True), bank)
+        pure = replace(base, **ABLATIONS["pure_training"])
+        report, _ = run_transfer(pair, pure, bank)
         out["pure_training"].append(report.mrr)
     return out
 
@@ -127,7 +134,8 @@ def noise_sweep(
     noise_ratios: list[float],
     variants: tuple[str, ...] = ("full", "uniform_strength"),
 ) -> list[tuple[float, str, int, float]]:
-    """Rows (ratio, variant, seed, hits10) across noise levels.
+    """Rows (ratio, variant, seed, hits10) across noise levels; a variant
+    is "full" or an ``ABLATIONS`` name.
 
     Relative drops against ratio 0 come from :func:`relative_drops`.
     """
@@ -144,8 +152,10 @@ def noise_sweep(
                 seed=seed * 1000 + int(round(ratio * 100)),
             )
             for variant in variants:
-                cfg_v = replace(base, uniform_strength=variant == "uniform_strength")
-                report, _ = run_transfer(pair, cfg_v, bank, alignments=noisy)
+                preset = {} if variant == "full" else ABLATIONS[variant]
+                report, _ = run_transfer(
+                    pair, replace(base, **preset), bank, alignments=noisy
+                )
                 rows.append((ratio, variant, seed, report.hits10))
     return rows
 
@@ -181,10 +191,7 @@ def pseudo_ratio_sweep(
         base = replace(cfg.train, seed=seed)
         for fraction in fractions:
             cfg_f = replace(
-                base,
-                pseudo_fraction_start=fraction,
-                pseudo_fraction_end=fraction,
-                no_pseudo=fraction == 0.0,
+                base, pseudo_fraction_start=fraction, pseudo_fraction_end=fraction
             )
             report, _ = run_transfer(pair, cfg_f, bank)
             rows.append((fraction, "mpkd", seed, report.hits10))
@@ -206,9 +213,10 @@ def median_by_x(
     return {x: float(np.median(vals)) for x, vals in by_x.items()}
 
 
-def build_decay_toy(diag: DiagnosticConfig, seed: int = 0):
+def build_decay_toy(seed: int = 0):
     """Frozen toy for the decay diagnostic: a small graph scored by a seeded
-    model, ground-truth positives plus a pseudo set with known correctness."""
+    model, 24 ground-truth positives plus as many pseudo positives, each
+    left uncorrupted with probability 0.8, so their correctness is known."""
     from .encoder import init_network_params
 
     gen = GeneratorConfig(
@@ -223,13 +231,12 @@ def build_decay_toy(diag: DiagnosticConfig, seed: int = 0):
     rng = np.random.default_rng(seed + 2)
     rows = kg.events.tolist()
     gt = kg.events[rng.choice(len(rows), size=24, replace=False)]
-    n_ps = int(round(diag.pseudo_ratio * len(gt)))
-    picks = rng.choice(len(rows), size=n_ps, replace=True)
+    picks = rng.choice(len(rows), size=len(gt), replace=True)
     truth = set(map(tuple, rows))
     ps, flags = [], []
     for idx in picks:
         s, r, o, t = rows[idx]
-        if rng.random() >= diag.pseudo_correct:
+        if rng.random() >= 0.8:
             o = int(rng.integers(len(kg.entities)))
         ps.append((s, r, o, t))
         flags.append((s, r, o, t) in truth)
@@ -237,6 +244,6 @@ def build_decay_toy(diag: DiagnosticConfig, seed: int = 0):
 
 
 def decay_experiment(diag: DiagnosticConfig, seed: int = 0):
-    toy = build_decay_toy(diag, seed)
+    toy = build_decay_toy(seed)
     rows, slope = nce_deviation_sweep(diag, toy)
     return rows, slope, toy.epsilon

@@ -20,7 +20,6 @@ from .tkg import Quadruple, TemporalKG
 @dataclass(frozen=True)
 class NegativeSamplerConfig:
     factor: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if self.factor < 1:

@@ -80,8 +80,6 @@ _RANGES = {
     ),
     "dropout": (lambda v: 0 <= v < 1, "in [0, 1)"),
     "pseudo_min_similarity": (np.isfinite, "finite"),
-    # no upper cap: a gate above 1 turns student completion off
-    "transfer_min_top1_prob": _at_least(0),
 }
 
 
@@ -109,15 +107,13 @@ class TrainConfig:
     pseudo_fraction_start: float = 0.10
     pseudo_fraction_end: float = 0.40
     pseudo_min_similarity: float = 0.0
-    transfer_min_top1_prob: float = 0.0  # 0 disables the gate; > 1 rejects all
+    top1_completion: bool = True  # the student fills open transfer slots
     patience: int = 5
     split_train_steps: int = 28
     split_val_steps: int = 4
     split_test_steps: int = 8
     seed: int = 0
     uniform_strength: bool = False
-    pure_training: bool = False
-    no_pseudo: bool = False
     no_event_transfer: bool = False
 
     def __post_init__(self):
@@ -139,13 +135,23 @@ class TrainConfig:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
+_NO_PSEUDO = {"pseudo_fraction_start": 0.0, "pseudo_fraction_end": 0.0}
+# --ablation name -> the TrainConfig fields it sets
+ABLATIONS = {
+    "uniform_strength": {"uniform_strength": True},
+    "pure_training": {**_NO_PSEUDO, "no_event_transfer": True},
+    "no_pseudo": _NO_PSEUDO,
+    "no_event_transfer": {"no_event_transfer": True},
+}
+
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False}
 
 
 def parse_config_file(path) -> TrainConfig:
-    """``key = value`` lines mirroring TrainConfig fields; unknown keys raise."""
+    """``key = value`` lines mirroring TrainConfig fields; unknown and
+    repeated keys raise."""
     by_name = {f.name: f for f in fields(TrainConfig)}
-    overrides = {}
+    overrides, first_line = {}, {}
     for lineno, line in numbered_lines(path):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -155,6 +161,10 @@ def parse_config_file(path) -> TrainConfig:
         key, _, value = (part.strip() for part in text.partition("="))
         if key not in by_name:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}, "
+                             f"first set on line {first_line[key]}")
+        first_line[key] = lineno
         ftype = by_name[key].type
         if ftype == "bool":
             if value.lower() not in _BOOL_WORDS:
@@ -217,7 +227,7 @@ def pretrain_teacher(
         int(rng_for(cfg.seed, _RNG_INIT, 0).integers(2**31)), cfg.dropout,
     )
     state = AdamState.like(params.trainable())
-    neg = NegativeSamplerConfig(cfg.reasoning_negatives, cfg.seed)
+    neg = NegativeSamplerConfig(cfg.reasoning_negatives)
     for epoch in range(cfg.epochs):
         order = rng_for(cfg.seed, _RNG_SHUFFLE, _RNG_TEACHER, epoch).permutation(len(quads))
         losses = []
@@ -377,7 +387,7 @@ def _reasoning_terms(
     """Weighted ground-truth + pseudo reasoning hinge, with grads (zero
     without ``with_grad``, which skips the backward pass)."""
     w_gt, w_ps = weights
-    neg = NegativeSamplerConfig(cfg.reasoning_negatives, cfg.seed)
+    neg = NegativeSamplerConfig(cfg.reasoning_negatives)
     loss = 0.0
     grads = student.zero_grads()
     for batch, w in ((gt_batch, w_gt), (ps_batch, w_ps)):
@@ -472,17 +482,8 @@ def _chunks(items, size: int) -> list:
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
-def _student_top1_fns(student: NetworkParams, kg: TemporalKG, b: int,
-                      min_top1_prob: float = 0.0):
-    """Argmax completion functions; an optional confidence gate rejects
-    completions whose softmax probability over all candidates is too low.
-    That probability is at most 1, so a gate above 1 rejects every
-    completion without encoding or scoring anything."""
-    if min_top1_prob > 1.0:
-        def rejected(*_):
-            return None
-
-        return rejected, rejected
+def _student_top1_fns(student: NetworkParams, kg: TemporalKG, b: int):
+    """Argmax completion functions over the student's scores."""
     cache = EncodingCache(student, kg, b)
 
     def rank_object(e: int, r: int, t: int):
@@ -490,12 +491,7 @@ def _student_top1_fns(student: NetworkParams, kg: TemporalKG, b: int,
         scores = score_object_queries(
             student, h_all, np.array([e]), np.array([r]), h_sq
         )[0]
-        best = int(np.argmax(scores))
-        if min_top1_prob > 0.0:
-            shifted = np.exp(scores - scores[best])
-            if 1.0 / shifted.sum() < min_top1_prob:
-                return None
-        return best
+        return int(np.argmax(scores))
 
     def rank_subject(r: int, e: int, t: int):
         return rank_object(e, r + student.n_relations, t)
@@ -529,8 +525,9 @@ def train_mpkd(
     providing the distillation gradient; (d) past the warmup, regenerate
     pseudo alignments under the paced budget. Early-stops on validation MRR.
     """
-    if len(alignments) == 0 and not cfg.pure_training:
-        raise ValueError("alignments may be empty only in pure_training mode")
+    fractions = cfg.pseudo_fraction_start, cfg.pseudo_fraction_end
+    if len(alignments) == 0 and (any(fractions) or not cfg.no_event_transfer):
+        raise ValueError("alignments may be empty only without generated data")
     split = cfg.split()
     if target_kg.horizon != split.total_steps:
         raise ValueError("target horizon does not match the configured split")
@@ -611,12 +608,13 @@ def train_mpkd(
         # (b) event transfer; it shares the pseudo-data warmup: both halves of
         # the generated data start once the student has structure to offer
         if (
-            not (cfg.no_event_transfer or cfg.pure_training)
+            not cfg.no_event_transfer
             and len(state.alignments)
             and epoch >= cfg.warmup_epochs_before_generation
         ):
-            rank_obj, rank_subj = _student_top1_fns(
-                student, state.union_kg, cfg.neighbors, cfg.transfer_min_top1_prob
+            rank_obj, rank_subj = (
+                _student_top1_fns(student, state.union_kg, cfg.neighbors)
+                if cfg.top1_completion else (lambda *_: None,) * 2
             )
             # the union graph holds every earlier transfer, so none repeats
             new = transfer_events(
@@ -685,7 +683,7 @@ def train_mpkd(
 
         # (d) pseudo-alignment generation under the paced budget
         fraction = pseudo_fraction_at(cfg, epoch)
-        if not (cfg.no_pseudo or cfg.pure_training) and fraction > 0.0:
+        if fraction > 0.0:
             tgt_trajs = _generate_pseudo_round(
                 state, source_traj_bank, active_sources, cfg, fraction, epoch
             )

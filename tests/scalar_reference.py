@@ -204,8 +204,9 @@ def reasoning_loss(
     margin: float,
     rng: np.random.Generator | None = None,
     b: int = 8,
+    seed: int = 0,
 ) -> float:
     if rng is None:
-        rng = np.random.default_rng(neg_cfg.seed)
+        rng = np.random.default_rng(seed)
     loss, _ = reasoning_loss_fwd(params, kg, batch, neg_cfg, margin, rng, b)
     return loss

@@ -175,7 +175,7 @@ def _reasoning_check(seed):
     )
 
     kg, student, _, _, _, batches, cfg = _grad_toy(seed)
-    neg = NegativeSamplerConfig(3, seed)
+    neg = NegativeSamplerConfig(3)
 
     def lg(_):
         rng = np.random.default_rng(seed + 77)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -99,6 +100,15 @@ class TestTrain:
         audit = (train_dir / "pseudo_audit.tsv").read_text().splitlines()
         assert audit[0].split("\t") == ["round", "source", "target", "similarity"]
 
+    def test_manifest_digests_every_output(self, train_dir):
+        manifest = json.loads((train_dir / "manifest.json").read_text())
+        written = ("checkpoint.mpkd", "checkpoint.mpkd.json", "log.tsv",
+                   "pseudo_audit.tsv")
+        assert manifest["files"] == {
+            name: hashlib.sha256((train_dir / name).read_bytes()).hexdigest()
+            for name in written
+        }
+
     def test_ablation_flag_yields_zero_pseudo(self, tmp_path, synth_dir):
         out = tmp_path / "pure"
         cfg = tmp_path / "cfg.ini"
@@ -111,7 +121,10 @@ class TestTrain:
         )
         assert res.returncode == 0, res.stderr
         rows = (out / "log.tsv").read_text().splitlines()[1:]
-        assert all(row.split("\t")[4] == "0" for row in rows)
+        assert all(row.split("\t")[4:] == ["0", "0"] for row in rows)
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["pseudo_fraction_start"] == config["pseudo_fraction_end"] == 0.0
+        assert config["no_event_transfer"] is True
 
     def test_threads_flag_rejected(self, tmp_path, synth_dir):
         res = run_cli(

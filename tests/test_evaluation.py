@@ -381,8 +381,6 @@ class TestNCEDiagnostic:
             DiagnosticConfig(negative_counts=(8, 8, 32))
         with pytest.raises(ValueError):
             DiagnosticConfig(negative_counts=(8, 32), limit_estimate_n=32)
-        with pytest.raises(ValueError):
-            DiagnosticConfig(temperature=0.0)
 
     def test_medians_decay_on_synthetic_tables(self):
         from tkgdistill.evaluation import NCEToy

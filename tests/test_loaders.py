@@ -13,7 +13,7 @@ from tkgdistill.trainer import parse_config_file
 VALID = {
     "quadruples": ["a\tr\tb\t0", "b\tr\tc\t3", "# comment", ""],
     "alignments": ["a\tx", "b\ty\t0.5", "# comment", ""],
-    "config": ["dim = 16", "seed = 3", "no_pseudo = true", "# comment", ""],
+    "config": ["dim = 16", "seed = 3", "no_event_transfer = true", "# comment", ""],
 }
 
 
@@ -68,7 +68,7 @@ class TestEncoding:
 
 def _fields(kind: str):
     if kind == "config":
-        return st.sampled_from(["dim", "epochs", "dropout", "no_pseudo", "seed",
+        return st.sampled_from(["dim", "epochs", "dropout", "no_event_transfer", "seed",
                                 "exact_solver_cap", "=", "", " "])
     return st.sampled_from(["a", "b", "r", "x", "zz", "", "#"])
 
@@ -97,8 +97,11 @@ class TestFuzz:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_malformed_line_is_a_numbered_value_error(self, fuzz_path, kind, data):
-        good = st.lists(st.sampled_from(VALID[kind]), max_size=4)
-        before, after = data.draw(good), data.draw(good)
+        # a config may set each key once, so its valid lines do not repeat
+        good = data.draw(st.lists(st.sampled_from(VALID[kind]), max_size=8,
+                                  unique=kind == "config"))
+        cut = data.draw(st.integers(0, len(good)))
+        before, after = good[:cut], good[cut:]
         newline = data.draw(st.sampled_from(["\n", "\r\n"])).encode()
         line = data.draw(fuzz_line(kind))
         body = [s.encode() for s in before] + [line] + [s.encode() for s in after]
@@ -106,8 +109,11 @@ class TestFuzz:
         try:
             load(kind, fuzz_path, frozen=data.draw(st.booleans()))
         except ValueError as exc:
-            # the lines around the fuzzed one are valid, so it is the culprit
-            assert str(exc).startswith(f"{fuzz_path}:{len(before) + 1}: "), exc
+            # the lines around the fuzzed one are valid, so it is the culprit:
+            # the error is on it, or on a later line repeating its key
+            culprit = len(before) + 1
+            assert str(exc).startswith(f"{fuzz_path}:{culprit}: ") or str(
+                exc).endswith(f"first set on line {culprit}"), exc
 
 
 # the symbols the vocabularies start with, and a valid line adding new ones

@@ -43,7 +43,7 @@ class TestNegativeSampler:
             NegativeSamplerConfig(factor=0)
 
     def test_negatives_never_true_object(self, toy_params, toy_kg):
-        neg = NegativeSamplerConfig(6, seed=3)
+        neg = NegativeSamplerConfig(6)
         rng = np.random.default_rng(3)
         _, cache = reasoning_loss_fwd(
             toy_params, toy_kg, list(toy_kg.quadruples[:8]), neg, 0.5, rng, b=4
@@ -94,7 +94,7 @@ class TestInterning:
         assert np.array_equal(neg_rows, want_neg)
 
     def test_loss_cache_row_count(self, toy_params, toy_kg):
-        neg = NegativeSamplerConfig(5, seed=4)
+        neg = NegativeSamplerConfig(5)
         batch = list(toy_kg.quadruples[:9])
         _, cache = reasoning_loss_fwd(
             toy_params, toy_kg, batch, neg, 0.5, np.random.default_rng(4), b=4
@@ -107,7 +107,7 @@ class TestReasoningLoss:
     def test_inactive_hinge_is_zero(self, toy_kg):
         # margin so small every positive beats its negatives by more than it
         params = init_network_params(7, 3, 6, seed=4, dropout_rate=0.0)
-        neg = NegativeSamplerConfig(3, seed=0)
+        neg = NegativeSamplerConfig(3)
         loss = reasoning_loss(params, toy_kg, list(toy_kg.quadruples[:5]), neg, 1e-12)
         # hinge can still be active by chance; check non-negativity instead
         assert loss >= 0.0
@@ -116,15 +116,16 @@ class TestReasoningLoss:
         # identical embeddings for every entity: f(pos) = f(neg) always
         params = init_network_params(7, 3, 6, seed=5, dropout_rate=0.0)
         params.entity_emb[:] = params.entity_emb[0]
-        neg = NegativeSamplerConfig(4, seed=1)
+        neg = NegativeSamplerConfig(4)
         margin = 0.37
-        loss = reasoning_loss(params, toy_kg, list(toy_kg.quadruples[:6]), neg, margin)
+        loss = reasoning_loss(params, toy_kg, list(toy_kg.quadruples[:6]), neg, margin,
+                              seed=1)
         assert loss == pytest.approx(margin, abs=1e-12)
 
     def test_empty_batch_raises(self, toy_params, toy_kg):
         with pytest.raises(ValueError):
             reasoning_loss(
-                toy_params, toy_kg, [], NegativeSamplerConfig(2, 0), 0.5
+                toy_params, toy_kg, [], NegativeSamplerConfig(2), 0.5
             )
 
     def test_matches_bruteforce_recomputation(self, toy_kg):
@@ -132,7 +133,7 @@ class TestReasoningLoss:
         rebuild the mean hinge from individual quadruple scores."""
         params = init_network_params(7, 3, 4, seed=6, dropout_rate=0.0)
         batch = list(toy_kg.quadruples[:5])
-        neg_cfg = NegativeSamplerConfig(3, seed=9)
+        neg_cfg = NegativeSamplerConfig(3)
         rng = np.random.default_rng(9)
         loss, cache = reasoning_loss_fwd(
             params, toy_kg, batch, neg_cfg, 0.5, rng, b=4
@@ -159,20 +160,20 @@ class TestReasoningLoss:
         assert loss == pytest.approx(total / count, rel=1e-12)
 
     def test_deterministic_for_fixed_seed(self, toy_params, toy_kg):
-        neg = NegativeSamplerConfig(4, seed=11)
+        neg = NegativeSamplerConfig(4)
         batch = list(toy_kg.quadruples[:6])
-        a = reasoning_loss(toy_params, toy_kg, batch, neg, 0.5)
-        b = reasoning_loss(toy_params, toy_kg, batch, neg, 0.5)
+        a = reasoning_loss(toy_params, toy_kg, batch, neg, 0.5, seed=11)
+        b = reasoning_loss(toy_params, toy_kg, batch, neg, 0.5, seed=11)
         assert a == b
 
     def test_hinge_monotone_in_positive_score(self, toy_kg):
         # inflating the true object's representation quality cannot raise the
         # loss: check via margin perturbation instead (monotone in margin)
         params = init_network_params(7, 3, 6, seed=8, dropout_rate=0.0)
-        neg = NegativeSamplerConfig(4, seed=2)
+        neg = NegativeSamplerConfig(4)
         batch = list(toy_kg.quadruples[:6])
-        small = reasoning_loss(params, toy_kg, batch, neg, 0.1)
-        large = reasoning_loss(params, toy_kg, batch, neg, 0.9)
+        small = reasoning_loss(params, toy_kg, batch, neg, 0.1, seed=2)
+        large = reasoning_loss(params, toy_kg, batch, neg, 0.9, seed=2)
         assert small <= large
 
 
@@ -181,7 +182,7 @@ class TestReasoningLoss:
     ):
         block = toy_kg.events[:7]
         quads = [Quadruple(*row) for row in block.tolist()]
-        neg = NegativeSamplerConfig(3, seed=2)
+        neg = NegativeSamplerConfig(3)
         (loss_a, cache_a), (loss_b, cache_b) = (
             reasoning_loss_fwd(toy_params, toy_kg, batch, neg, 0.5,
                                np.random.default_rng(5), b=4)
@@ -203,7 +204,7 @@ class TestReasoningGradients:
         kg = random_kg(rng, n_entities=6, horizon=8, n_events=20)
         params = init_network_params(6, 3, 5, seed=seed + 50, dropout_rate=0.0)
         batch = list(kg.quadruples[:4])
-        neg = NegativeSamplerConfig(3, seed=seed)
+        neg = NegativeSamplerConfig(3)
         margin = 0.5003  # off the hinge kink
 
         def lg(p):

@@ -4,13 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from scalar_reference import mean_similarity
 from tkgdistill import experiments
 from tkgdistill import trainer as trainer_module
-from tkgdistill.distill import transfer_events
-from tkgdistill.encoder import encode_trajectories_fwd, init_network_params
+from tkgdistill.encoder import encode_trajectories_fwd
 from tkgdistill.tkg import (
     GROUND_TRUTH,
     AlignmentPair,
@@ -19,11 +18,11 @@ from tkgdistill.tkg import (
     generate_synthetic_pair,
 )
 from tkgdistill.trainer import (
+    ABLATIONS,
     EpochBatches,
     TrainConfig,
     _interval_bounds,
     _mean_sim_matrix,
-    _student_top1_fns,
     combined_loss_and_grad,
     init_student_from_teacher,
     parse_config_file,
@@ -40,7 +39,7 @@ def tiny_cfg(**over):
         learning_rate=0.02, reasoning_negatives=3, alignment_negatives=4,
         time_intervals=2, warmup_epochs_before_generation=0,
         split_train_steps=5, split_val_steps=1, split_test_steps=2,
-        patience=10, seed=0, transfer_min_top1_prob=0.0,
+        patience=10, seed=0,
     )
     base.update(over)
     return TrainConfig(**base)
@@ -74,12 +73,25 @@ class TestTrainConfig:
         path = tmp_path / "cfg.ini"
         path.write_text(
             "dim = 16\nepochs = 3\nlearning_rate = 0.005\n"
-            "pure_training = true\nseed = 7\n"
+            "no_event_transfer = true\ntop1_completion = false\nseed = 7\n"
         )
         cfg = parse_config_file(path)
         assert cfg.dim == 16 and cfg.epochs == 3
         assert cfg.learning_rate == 0.005
-        assert cfg.pure_training is True and cfg.seed == 7
+        assert cfg.no_event_transfer is True and cfg.top1_completion is False
+        assert cfg.seed == 7
+
+    def test_ablation_presets_set_real_fields(self):
+        defaults = TrainConfig()
+        names = {f.name for f in fields(TrainConfig)}
+        for name, preset in ABLATIONS.items():
+            assert preset and set(preset) <= names, name
+            for key, value in preset.items():
+                assert type(value) is type(getattr(defaults, key)), (name, key)
+            replace(defaults, **preset)  # within every field's range
+        assert ABLATIONS["pure_training"] == {
+            **ABLATIONS["no_pseudo"], **ABLATIONS["no_event_transfer"]
+        }
 
     @pytest.mark.parametrize("text, message", [
         pytest.param("flux_capacitor = 1\n", ":1: unknown config key", id="unknown-key"),
@@ -87,6 +99,16 @@ class TestTrainConfig:
                      id="layers"),
         pytest.param("seed = 1\n\nexact_solver_cap = 64\n",
                      ":3: unknown config key 'exact_solver_cap'", id="exact_solver_cap"),
+        pytest.param("pure_training = true\n", ":1: unknown config key 'pure_training'",
+                     id="pure_training"),
+        pytest.param("dim = 8\nno_pseudo = true\n", ":2: unknown config key 'no_pseudo'",
+                     id="no_pseudo"),
+        pytest.param("transfer_min_top1_prob = 2.0\n",
+                     ":1: unknown config key 'transfer_min_top1_prob'",
+                     id="transfer_min_top1_prob"),
+        pytest.param("dim = 16\n# wider\ndim = 32\n",
+                     ":3: duplicate config key 'dim', first set on line 1",
+                     id="repeated-key"),
         pytest.param("dim = 16\nepochs = abc\n", ":2: bad int value 'abc'", id="bad-int"),
         pytest.param("learning_rate = fast\n", ":1: bad float value 'fast'",
                      id="bad-float"),
@@ -111,7 +133,6 @@ class TestTrainConfig:
         ("margin_reasoning", 0.0), ("margin_alignment", -0.5),
         ("learning_rate", 0.0),
         ("pseudo_fraction_start", -0.1), ("pseudo_fraction_end", 1.5),
-        ("transfer_min_top1_prob", -0.5),
     ])
     def test_out_of_range_rejected(self, tmp_path, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -148,7 +169,7 @@ class TestTrainConfig:
     def test_range_edges_accepted(self):
         TrainConfig(epochs=0, warmup_epochs_before_generation=0, patience=0,
                     dropout=0.0, pseudo_fraction_start=0.0,
-                    pseudo_fraction_end=1.0, transfer_min_top1_prob=2.0)
+                    pseudo_fraction_end=1.0)
 
     def test_digest_stable_and_sensitive(self):
         assert TrainConfig().digest() == TrainConfig().digest()
@@ -247,7 +268,7 @@ class TestTeacherBank:
         teachers = [
             bank.get(source, cfg)
             for cfg in (base, replace(base, uniform_strength=True),
-                        replace(base, pure_training=True))
+                        replace(base, **ABLATIONS["pure_training"]))
         ]
         assert len(calls) == 1
         assert all(t is teachers[0] for t in teachers)
@@ -405,7 +426,7 @@ class TestCombinedLoss:
 class TestTrainLoop:
     def test_pure_training_has_no_generated_data(self):
         pair = tiny_pair()
-        cfg = tiny_cfg(pure_training=True)
+        cfg = tiny_cfg(**ABLATIONS["pure_training"])
         state = train_mpkd(pair.source, pair.target_incomplete, pair.alignments, cfg)
         assert state.transferred == []
         assert all(p.provenance == "ground-truth" for p in state.alignments)
@@ -457,29 +478,18 @@ class TestTrainLoop:
 
     def test_empty_alignments_need_pure_mode(self):
         pair = tiny_pair()
-        with pytest.raises(ValueError):
-            train_mpkd(
-                pair.source, pair.target_incomplete, AlignmentSet([]), tiny_cfg()
-            )
+        # either half of the generated data needs alignments
+        for generating in (ABLATIONS["no_pseudo"], ABLATIONS["no_event_transfer"]):
+            with pytest.raises(ValueError, match="may be empty only without"):
+                train_mpkd(
+                    pair.source, pair.target_incomplete, AlignmentSet([]),
+                    tiny_cfg(**generating),
+                )
         state = train_mpkd(
             pair.source, pair.target_incomplete, AlignmentSet([]),
-            tiny_cfg(pure_training=True),
+            tiny_cfg(**ABLATIONS["pure_training"]),
         )
         assert state.epoch >= 0
-
-    def test_no_pseudo_equals_zero_fraction_bitwise(self):
-        pair = tiny_pair()
-        base = tiny_cfg(epochs=3)
-        a = train_mpkd(
-            pair.source, pair.target_incomplete, pair.alignments,
-            replace(base, no_pseudo=True),
-        )
-        b = train_mpkd(
-            pair.source, pair.target_incomplete, pair.alignments,
-            replace(base, pseudo_fraction_start=0.0, pseudo_fraction_end=0.0),
-        )
-        for k in a.student.trainable():
-            assert np.array_equal(a.student.trainable()[k], b.student.trainable()[k])
 
     def test_uniform_strength_flag_runs(self):
         pair = tiny_pair()
@@ -501,7 +511,8 @@ class TestTrainLoop:
 
 
 class TestStudentCompletion:
-    def _transfer(self, monkeypatch, gate):
+    def _transfer(self, monkeypatch, top1_completion):
+        # only the transfer step's completions score through trainer's name
         calls = []
         score = trainer_module.score_object_queries
 
@@ -511,27 +522,22 @@ class TestStudentCompletion:
 
         monkeypatch.setattr(trainer_module, "score_object_queries", counted)
         pair = tiny_pair()
-        kg = pair.target_incomplete
-        student = init_network_params(
-            len(kg.entities), len(kg.relations), 6, seed=1, dropout_rate=0.0
+        state = train_mpkd(
+            pair.source, pair.target_incomplete, pair.alignments,
+            tiny_cfg(top1_completion=top1_completion),
         )
-        rank_obj, rank_subj = _student_top1_fns(student, kg, 3, gate)
-        records = transfer_events(
-            pair.source, kg, pair.alignments, rank_obj, rank_subj, horizon=5
-        )
-        return records, calls
+        return state.transferred, calls
 
-    def test_gate_above_one_scores_nothing(self, monkeypatch):
-        records, calls = self._transfer(monkeypatch, 2.0)
+    def test_completion_off_scores_nothing(self, monkeypatch):
+        records, calls = self._transfer(monkeypatch, False)
         assert calls == []
         assert records
         assert {r.mechanism for r in records} == {"alignment-lookup"}
 
-    def test_gate_of_one_still_scores(self, monkeypatch):
-        records, calls = self._transfer(monkeypatch, 1.0)
+    def test_completion_on_yields_top1(self, monkeypatch):
+        records, calls = self._transfer(monkeypatch, True)
         assert calls
-        ungated, _ = self._transfer(monkeypatch, 0.0)
-        assert "student-top1" in {r.mechanism for r in ungated}
+        assert "student-top1" in {r.mechanism for r in records}
 
 
 class TestMeanSimMatrix:
