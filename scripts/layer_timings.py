@@ -56,7 +56,6 @@ from tkgdistill.encoder import (  # noqa: E402
 from tkgdistill.evaluation import evaluate  # noqa: E402
 from tkgdistill.numerics import add_rows_at  # noqa: E402
 from tkgdistill.scoring import (  # noqa: E402
-    NegativeSamplerConfig,
     reasoning_loss_bwd,
     reasoning_loss_fwd,
 )
@@ -84,11 +83,10 @@ def _reasoning(name, gen, cfg, seed, repeats):
         len(kg.entities), len(kg.relations), cfg.dim, seed, cfg.dropout
     )
     batch = kg.events[np.random.default_rng(seed).permutation(len(kg.events))[:256]]
-    neg = NegativeSamplerConfig(cfg.reasoning_negatives)
 
     def fwd(_=None):
         return reasoning_loss_fwd(
-            params, kg, batch, neg, cfg.margin_reasoning,
+            params, kg, batch, cfg.reasoning_negatives, cfg.margin_reasoning,
             np.random.default_rng(seed), cfg.neighbors, np.random.default_rng(seed),
         )[1]
 

@@ -23,7 +23,6 @@ from .distill import (
     transfer_events,
 )
 from .numerics import AdamState, GradCheckReport, adam_step, grad_check
-from .scoring import NegativeSamplerConfig
 from .tkg import (
     AlignmentPair,
     AlignmentSet,

@@ -220,6 +220,11 @@ def _write_rows_csv(path: Path, rows) -> None:
             fh.write(f"{x},{variant},{seed},{value}\n")
 
 
+def _hits10_rows(rows):
+    """A sweep's rows with Hits@10 as the CSV's value column."""
+    return [(x, variant, seed, hits10) for x, variant, seed, _, hits10 in rows]
+
+
 def cmd_experiment(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -232,8 +237,10 @@ def cmd_experiment(args) -> int:
 
     if args.name == "noise":
         ratios = _parse_floats(args.ratios)
-        rows = experiments.noise_sweep(cfg, ratios)
-        _write_rows_csv(out / "noise.csv", rows)
+        rows = experiments.sweep(
+            cfg, "noise", ratios, ("full", "uniform_strength")
+        )
+        _write_rows_csv(out / "noise.csv", _hits10_rows(rows))
         summary = {
             "drops": {
                 str(r): experiments.relative_drops(rows, r)
@@ -243,12 +250,14 @@ def cmd_experiment(args) -> int:
         }
         _write_json(out / "noise_summary.json", summary)
     elif args.name == "pseudo-ratio":
-        fractions = _parse_floats(args.fractions)
-        rows = experiments.pseudo_ratio_sweep(cfg, fractions)
-        _write_rows_csv(out / "pseudo_ratio.csv", rows)
+        rows = experiments.sweep(
+            cfg, "pseudo_fraction", _parse_floats(args.fractions),
+            ("full", *experiments.REFERENCES),
+        )
+        _write_rows_csv(out / "pseudo_ratio.csv", _hits10_rows(rows))
         summary = {"median_hits10": experiments.median_by_x(rows, "mpkd")}
         _write_json(out / "pseudo_ratio_summary.json", summary)
-    elif args.name == "nce-decay":
+    else:  # nce-decay: argparse's choices reject any other name
         counts = tuple(_parse_ints(args.N))
         diag = DiagnosticConfig(negative_counts=counts)
         rows, slope, epsilon = experiments.decay_experiment(diag, seed=seeds[0])
@@ -259,10 +268,6 @@ def cmd_experiment(args) -> int:
         _write_json(
             out / "nce_decay_summary.json",
             {"slope": slope, "epsilon": epsilon},
-        )
-    else:
-        raise ValueError(
-            f"unknown experiment {args.name!r}; valid: noise, pseudo-ratio, nce-decay"
         )
     return 0
 

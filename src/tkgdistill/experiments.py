@@ -1,6 +1,6 @@
 """Experiment harnesses on synthetic bilingual pairs: end-to-end transfer
-runs, the alignment-noise sweep, the pseudo-budget sweep, and the
-negative-count decay diagnostic wiring.
+runs, one seeded sweep over an axis (alignment noise or the pseudo budget)
+and model variants, and the negative-count decay diagnostic wiring.
 """
 
 from __future__ import annotations
@@ -99,117 +99,83 @@ def run_transfer(
     return report, state
 
 
-def run_single_model(
-    target_kg, cfg: TrainConfig
-) -> MetricsReport:
-    """Reference line: one encoder trained on the target graph alone."""
-    solo = replace(cfg, **ABLATIONS["pure_training"])
-    state = train_mpkd(target_kg, target_kg, AlignmentSet([]), solo, teacher=None)
-    _, _, test_part = split_by_time(target_kg, cfg.split())
-    return evaluate(
-        state.student, target_kg, test_part.events, cfg.neighbors,
-        cfg.digest(), cfg.seed,
-    )
+Row = tuple[float, str, int, float, float]  # (x, variant, seed, mrr, hits10)
+AXES = ("noise", "pseudo_fraction")
+REFERENCES = ("ref_full_target", "ref_incomplete_target")
 
 
-def transfer_gain_experiment(
+def sweep(
     cfg: ExperimentConfig,
-) -> dict[str, list[float]]:
-    """Full model vs the pure-training ablation, test MRR per seed."""
-    out: dict[str, list[float]] = {"full": [], "pure_training": []}
-    for seed in cfg.seeds:
-        pair = generate_synthetic_pair(cfg.generator, seed)
-        bank = TeacherBank()
-        base = replace(cfg.train, seed=seed)
-        report, _ = run_transfer(pair, base, bank)
-        out["full"].append(report.mrr)
-        pure = replace(base, **ABLATIONS["pure_training"])
-        report, _ = run_transfer(pair, pure, bank)
-        out["pure_training"].append(report.mrr)
-    return out
+    axis: str,
+    values: list[float],
+    variants: tuple[str, ...],
+) -> list[Row]:
+    """Tidy rows ``(x, variant, seed, mrr, hits10)`` of test metrics, seed
+    by seed: every axis value, ascending from 0, crossed with every variant,
+    then each requested reference line once, at x = -1.0.
 
-
-def noise_sweep(
-    cfg: ExperimentConfig,
-    noise_ratios: list[float],
-    variants: tuple[str, ...] = ("full", "uniform_strength"),
-) -> list[tuple[float, str, int, float]]:
-    """Rows (ratio, variant, seed, hits10) across noise levels; a variant
-    is "full" or an ``ABLATIONS`` name.
-
-    Relative drops against ratio 0 come from :func:`relative_drops`.
+    The ``noise`` axis reroutes round(x * n) alignments; ``pseudo_fraction``
+    pins the pseudo budget to x (no ramp). A variant is ``"full"`` (labelled
+    ``mpkd`` on the pseudo-fraction axis), an ``ABLATIONS`` name, or one of
+    ``REFERENCES``: one encoder trained alone on the full or on the
+    incomplete target graph. The axis runs of a seed share one teacher.
     """
-    if "full" not in variants or "uniform_strength" not in variants:
-        raise ValueError("variants must include 'full' and 'uniform_strength'")
-    rows: list[tuple[float, str, int, float]] = []
+    if axis not in AXES:
+        raise ValueError(f"unknown axis {axis!r}; valid: {', '.join(AXES)}")
+    if not values or values[0] != 0.0 or values != sorted(values):
+        raise ValueError(
+            f"{axis} values must be ascending and start at 0, got {values}"
+        )
+    full = "mpkd" if axis == "pseudo_fraction" else "full"
+    arms = [(full, {}) if v == "full" else (v, ABLATIONS[v])
+            for v in variants if v not in REFERENCES]
+    rows: list[Row] = []
     for seed in cfg.seeds:
         pair = generate_synthetic_pair(cfg.generator, seed)
         bank = TeacherBank()
         base = replace(cfg.train, seed=seed)
-        for ratio in noise_ratios:
-            noisy = inject_alignment_noise(
-                pair.alignments, ratio, len(pair.target_incomplete.entities),
-                seed=seed * 1000 + int(round(ratio * 100)),
+        for x in values:
+            pair_x, cfg_x = pair, base
+            if axis == "noise":
+                pair_x = replace(pair, alignments=inject_alignment_noise(
+                    pair.alignments, x, len(pair.target_incomplete.entities),
+                    seed=seed * 1000 + int(round(x * 100)),
+                ))
+            else:
+                cfg_x = replace(base, pseudo_fraction_start=x, pseudo_fraction_end=x)
+            for label, preset in arms:
+                report, _ = run_transfer(pair_x, replace(cfg_x, **preset), bank)
+                rows.append((x, label, seed, report.mrr, report.hits10))
+        solo = replace(base, **ABLATIONS["pure_training"])
+        for ref in (v for v in variants if v in REFERENCES):
+            kg = (pair.target_full if ref == "ref_full_target"
+                  else pair.target_incomplete)
+            alone = replace(
+                pair, source=kg, target_incomplete=kg, alignments=AlignmentSet([])
             )
-            for variant in variants:
-                preset = {} if variant == "full" else ABLATIONS[variant]
-                report, _ = run_transfer(
-                    pair, replace(base, **preset), bank, alignments=noisy
-                )
-                rows.append((ratio, variant, seed, report.hits10))
+            report, _ = run_transfer(alone, solo)
+            rows.append((-1.0, ref, seed, report.mrr, report.hits10))
     return rows
 
 
-def relative_drops(
-    rows: list[tuple[float, str, int, float]], ratio: float
-) -> dict[str, float]:
-    """Median over seeds of (metric(0) - metric(ratio)) / metric(0)."""
-    base = {(v, s): x for r, v, s, x in rows if r == 0.0}
+def relative_drops(rows: list[Row], ratio: float) -> dict[str, float]:
+    """Median over seeds of (hits10(0) - hits10(ratio)) / hits10(0)."""
+    base = {(v, s): h for x, v, s, _, h in rows if x == 0.0}
     drops: dict[str, list[float]] = {}
-    for r, v, s, x in rows:
-        if r != ratio:
+    for x, v, s, _, h in rows:
+        if x != ratio:
             continue
         b = base[(v, s)]
-        drops.setdefault(v, []).append((b - x) / b if b > 0 else 0.0)
+        drops.setdefault(v, []).append((b - h) / b if b > 0 else 0.0)
     return {v: float(np.median(d)) for v, d in drops.items()}
 
 
-def pseudo_ratio_sweep(
-    cfg: ExperimentConfig,
-    fractions: list[float],
-    include_references: bool = True,
-) -> list[tuple[float, str, int, float]]:
-    """Rows (fraction, variant, seed, hits10); the budget is pinned to each
-    fraction (no ramp). Reference lines retrain a single model on the full
-    and on the incomplete target graph."""
-    if fractions != sorted(fractions) or (fractions and fractions[0] != 0.0):
-        raise ValueError("fractions must be ascending and start at 0")
-    rows: list[tuple[float, str, int, float]] = []
-    for seed in cfg.seeds:
-        pair = generate_synthetic_pair(cfg.generator, seed)
-        bank = TeacherBank()
-        base = replace(cfg.train, seed=seed)
-        for fraction in fractions:
-            cfg_f = replace(
-                base, pseudo_fraction_start=fraction, pseudo_fraction_end=fraction
-            )
-            report, _ = run_transfer(pair, cfg_f, bank)
-            rows.append((fraction, "mpkd", seed, report.hits10))
-        if include_references:
-            ref = run_single_model(pair.target_full, base)
-            rows.append((-1.0, "ref_full_target", seed, ref.hits10))
-            ref = run_single_model(pair.target_incomplete, base)
-            rows.append((-1.0, "ref_incomplete_target", seed, ref.hits10))
-    return rows
-
-
-def median_by_x(
-    rows: list[tuple[float, str, int, float]], variant: str
-) -> dict[float, float]:
+def median_by_x(rows: list[Row], variant: str) -> dict[float, float]:
+    """Median Hits@10 over seeds at each x, for one variant."""
     by_x: dict[float, list[float]] = {}
-    for x, v, _, value in rows:
+    for x, v, _, _, h in rows:
         if v == variant:
-            by_x.setdefault(x, []).append(value)
+            by_x.setdefault(x, []).append(h)
     return {x: float(np.median(vals)) for x, vals in by_x.items()}
 
 

@@ -8,22 +8,11 @@ directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .encoder import NetworkParams, encode_many_bwd, encode_many_fwd
 from .numerics import ParamDict, add_rows_at, narrow_keys
 from .tkg import Quadruple, TemporalKG
-
-
-@dataclass(frozen=True)
-class NegativeSamplerConfig:
-    factor: int = 10
-
-    def __post_init__(self):
-        if self.factor < 1:
-            raise ValueError("negative sampling factor must be >= 1")
 
 
 def translation_score(h_s: np.ndarray, h_r: np.ndarray, h_o: np.ndarray):
@@ -97,7 +86,7 @@ def reasoning_loss_fwd(
     params: NetworkParams,
     kg: TemporalKG,
     batch: np.ndarray | list[Quadruple],
-    neg_cfg: NegativeSamplerConfig,
+    negatives: int,
     margin: float,
     rng: np.random.Generator,
     b: int = 8,
@@ -106,15 +95,18 @@ def reasoning_loss_fwd(
     """Mean hinge over the batch and its sampled negatives.
 
     Every quadruple of ``batch``, any (B, 4) array-like, gives one form per
-    direction; each form draws ``factor`` negatives replacing the object slot.
+    direction; each form draws ``negatives`` negatives replacing the object
+    slot.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
     if margin <= 0:
         raise ValueError("margin must be positive")
+    if negatives < 1:
+        raise ValueError("negatives must be >= 1")
     forms = _build_forms(batch, params)
     negs, valid = _sample_negatives(
-        forms[:, 2], params.n_entities, neg_cfg.factor, rng
+        forms[:, 2], params.n_entities, negatives, rng
     )
 
     pairs, subj_rows, obj_rows, neg_rows = _intern_rows(forms, negs)

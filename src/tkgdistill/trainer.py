@@ -34,7 +34,7 @@ from .encoder import (
 )
 from .evaluation import EncodingCache, evaluate, score_object_queries
 from .numerics import AdamState, ParamDict, adam_step, unit_rows, unit_rows_backward
-from .scoring import NegativeSamplerConfig, reasoning_loss_bwd, reasoning_loss_fwd
+from .scoring import reasoning_loss_bwd, reasoning_loss_fwd
 from .tkg import (
     GROUND_TRUTH,
     AlignmentPair,
@@ -227,7 +227,6 @@ def pretrain_teacher(
         int(rng_for(cfg.seed, _RNG_INIT, 0).integers(2**31)), cfg.dropout,
     )
     state = AdamState.like(params.trainable())
-    neg = NegativeSamplerConfig(cfg.reasoning_negatives)
     for epoch in range(cfg.epochs):
         order = rng_for(cfg.seed, _RNG_SHUFFLE, _RNG_TEACHER, epoch).permutation(len(quads))
         losses = []
@@ -236,8 +235,8 @@ def pretrain_teacher(
             rng = rng_for(cfg.seed, _RNG_TEACHER, epoch, bi)
             drop = rng_for(cfg.seed, _RNG_DROPOUT, _RNG_TEACHER, epoch, bi)
             loss, cache = reasoning_loss_fwd(
-                params, source_kg, batch, neg, cfg.margin_reasoning, rng,
-                cfg.neighbors, drop,
+                params, source_kg, batch, cfg.reasoning_negatives,
+                cfg.margin_reasoning, rng, cfg.neighbors, drop,
             )
             if not np.isfinite(loss):
                 raise RuntimeError(f"teacher loss diverged at epoch {epoch}")
@@ -387,15 +386,14 @@ def _reasoning_terms(
     """Weighted ground-truth + pseudo reasoning hinge, with grads (zero
     without ``with_grad``, which skips the backward pass)."""
     w_gt, w_ps = weights
-    neg = NegativeSamplerConfig(cfg.reasoning_negatives)
     loss = 0.0
     grads = student.zero_grads()
     for batch, w in ((gt_batch, w_gt), (ps_batch, w_ps)):
         if len(batch) == 0 or w == 0.0:
             continue
         term, cache = reasoning_loss_fwd(
-            student, union_kg, batch, neg, cfg.margin_reasoning, rng,
-            cfg.neighbors, dropout_rng,
+            student, union_kg, batch, cfg.reasoning_negatives,
+            cfg.margin_reasoning, rng, cfg.neighbors, dropout_rng,
         )
         loss += w * term
         if not with_grad:

@@ -121,9 +121,9 @@ def encode_batch_bwd(grad_out, cache, params, grads) -> None:
     grads["entity_emb"] += messages @ np.concatenate([g_hc, g_agg])
 
 
-def reasoning_loss_fwd(params, kg, batch, neg_cfg, margin, rng, b=8, dropout_rng=None):
+def reasoning_loss_fwd(params, kg, batch, negatives, margin, rng, b=8, dropout_rng=None):
     forms = _build_forms(batch, params)
-    negs, valid = _sample_negatives(forms[:, 2], params.n_entities, neg_cfg.factor, rng)
+    negs, valid = _sample_negatives(forms[:, 2], params.n_entities, negatives, rng)
     pairs, subj_rows, obj_rows, neg_rows = _intern_rows(forms, negs)
     reps, enc_cache = encode_many_fwd(params, kg, pairs, b, dropout_rng)
 

@@ -21,7 +21,6 @@ from tkgdistill.encoder import (
 from tkgdistill.evaluation import EncodingCache, score_object_queries
 from tkgdistill.numerics import unit_rows
 from tkgdistill.scoring import (
-    NegativeSamplerConfig,
     reasoning_loss_fwd,
     translation_score,
 )
@@ -200,7 +199,7 @@ def reasoning_loss(
     params: NetworkParams,
     kg: TemporalKG,
     batch: np.ndarray | list[Quadruple],
-    neg_cfg: NegativeSamplerConfig,
+    negatives: int,
     margin: float,
     rng: np.random.Generator | None = None,
     b: int = 8,
@@ -208,5 +207,5 @@ def reasoning_loss(
 ) -> float:
     if rng is None:
         rng = np.random.default_rng(seed)
-    loss, _ = reasoning_loss_fwd(params, kg, batch, neg_cfg, margin, rng, b)
+    loss, _ = reasoning_loss_fwd(params, kg, batch, negatives, margin, rng, b)
     return loss

@@ -1,8 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line
 with its measured value and runtime. Budgets are asserted, not aspirational.
 
-The training-based criteria (5-7) run the desk-scale harness configuration
-from tkgdistill.experiments; every run is seeded and deterministic, so the
+The training-based criteria (5-7) each call ``tkgdistill.experiments.sweep``
+on the desk-scale harness configuration, seeds 0-4: C5 compares test MRR of
+the full model and the pure-training ablation (noise axis at 0 only, which
+leaves the alignments as generated), C6 the Hits@10 drop of the full model
+and uniform strength from noise 0 to 0.2, and C7 median Hits@10 across
+pinned pseudo fractions. Every run is seeded and deterministic, so the
 asserted medians are reproducible bit for bit.
 """
 
@@ -38,10 +42,8 @@ from tkgdistill.experiments import (
     ExperimentConfig,
     decay_experiment,
     median_by_x,
-    noise_sweep,
-    pseudo_ratio_sweep,
     relative_drops,
-    transfer_gain_experiment,
+    sweep,
 )
 from tkgdistill.numerics import grad_check
 from tkgdistill.tkg import AlignmentSet, Quadruple, TemporalKG, Vocabulary
@@ -169,13 +171,12 @@ def _combined_check(seed):
 
 def _reasoning_check(seed):
     from tkgdistill.scoring import (
-        NegativeSamplerConfig,
         reasoning_loss_bwd,
         reasoning_loss_fwd,
     )
 
     kg, student, _, _, _, batches, cfg = _grad_toy(seed)
-    neg = NegativeSamplerConfig(3)
+    neg = 3
 
     def lg(_):
         rng = np.random.default_rng(seed + 77)
@@ -323,7 +324,11 @@ def test_criterion_4_causality_and_masking():
 
 def test_criterion_5_transfer_gain():
     with Clock() as c:
-        out = transfer_gain_experiment(ExperimentConfig())
+        rows = sweep(
+            ExperimentConfig(), "noise", [0.0], ("full", "pure_training")
+        )
+        out = {v: [mrr for _, var, _, mrr, _ in rows if var == v]
+               for v in ("full", "pure_training")}
         gains = [f / p - 1 for f, p in zip(out["full"], out["pure_training"])]
         med = float(np.median(gains))
     report(
@@ -336,7 +341,8 @@ def test_criterion_5_transfer_gain():
 
 def test_criterion_6_noise_robustness():
     with Clock() as c:
-        rows = noise_sweep(ExperimentConfig(), [0.0, 0.2])
+        rows = sweep(ExperimentConfig(), "noise", [0.0, 0.2],
+                     ("full", "uniform_strength"))
         drops = relative_drops(rows, 0.2)
     ok = drops["full"] <= drops["uniform_strength"]
     report(
@@ -348,8 +354,8 @@ def test_criterion_6_noise_robustness():
 
 def test_criterion_7_pseudo_ratio_trend():
     with Clock() as c:
-        rows = pseudo_ratio_sweep(
-            ExperimentConfig(), [0.0, 0.4, 0.5], include_references=False
+        rows = sweep(
+            ExperimentConfig(), "pseudo_fraction", [0.0, 0.4, 0.5], ("full",)
         )
         med = median_by_x(rows, "mpkd")
     ok = med[0.4] >= med[0.0]

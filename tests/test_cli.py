@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from tkgdistill import cli, evaluation
+from tkgdistill import cli, evaluation, experiments
 from tkgdistill.alignment import init_align_params
 from tkgdistill.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from tkgdistill.encoder import init_network_params
@@ -315,6 +315,52 @@ class TestExperimentCommand:
         assert len(rows) == 4
         summary = json.loads((tmp_path / "nce_decay_summary.json").read_text())
         assert "slope" in summary and "epsilon" in summary
+
+
+    @pytest.mark.parametrize("name, flag, values, bad", [
+        ("noise", "--ratios", "0.1,0.2", "noise values"),
+        ("pseudo-ratio", "--fractions", "0.4,0", "pseudo_fraction values"),
+    ])
+    def test_sweep_values_must_start_at_zero(self, tmp_path, name, flag, values, bad):
+        res = run_cli(
+            "experiment", name, flag, values, "--seeds", "1", "--epochs", "1",
+            "--out", tmp_path,
+        )
+        assert res.returncode == 1
+        got = [float(v) for v in values.split(",")]
+        assert f"{bad} must be ascending and start at 0, got {got}" in res.stderr
+        assert list(tmp_path.iterdir()) == []  # rejected before any training
+
+    @pytest.mark.parametrize("name, flag, values, stem, want", [
+        ("noise", "--ratios", "0,0.2", "noise", [
+            (0.0, "full"), (0.0, "uniform_strength"),
+            (0.2, "full"), (0.2, "uniform_strength"),
+        ]),
+        ("pseudo-ratio", "--fractions", "0,0.4", "pseudo_ratio", [
+            (0.0, "mpkd"), (0.4, "mpkd"),
+            (-1.0, "ref_full_target"), (-1.0, "ref_incomplete_target"),
+        ]),
+    ])
+    def test_sweep_rows_and_summary(self, tmp_path, name, flag, values, stem, want):
+        res = run_cli(
+            "experiment", name, flag, values, "--seeds", "1", "--epochs", "1",
+            "--out", tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        lines = (tmp_path / f"{stem}.csv").read_text().splitlines()
+        assert lines[0] == "x,variant,seed,value"
+        parsed = [line.split(",") for line in lines[1:]]
+        assert [(float(x), v, int(s)) for x, v, s, _ in parsed] == [
+            (x, v, 0) for x, v in want
+        ]
+        # the value column is Hits@10; sweep rows carry MRR before it
+        rows = [(float(x), v, int(s), None, float(h)) for x, v, s, h in parsed]
+        summary = json.loads((tmp_path / f"{stem}_summary.json").read_text())
+        if name == "noise":
+            assert summary == {"drops": {"0.2": experiments.relative_drops(rows, 0.2)}}
+        else:
+            med = experiments.median_by_x(rows, "mpkd")
+            assert summary == {"median_hits10": {str(x): m for x, m in med.items()}}
 
 
 class TestCheckpointRoundTrip:

@@ -32,7 +32,6 @@ from tkgdistill.alignment import init_align_params, temporal_integrate_batch_fwd
 from tkgdistill.encoder import encode_trajectories_fwd, init_network_params
 from tkgdistill.evaluation import evaluate
 from tkgdistill.scoring import (
-    NegativeSamplerConfig,
     reasoning_loss_bwd,
     reasoning_loss_fwd,
 )
@@ -216,7 +215,7 @@ def _teacher_step_setup():
 def _teacher_step(seed: int = 0) -> dict:
     cfg, kg, params, batch = _teacher_step_setup()
     _, cache = reasoning_loss_fwd(
-        params, kg, batch, NegativeSamplerConfig(cfg.reasoning_negatives),
+        params, kg, batch, cfg.reasoning_negatives,
         cfg.margin_reasoning, np.random.default_rng(seed), cfg.neighbors,
         np.random.default_rng(seed + 1),
     )

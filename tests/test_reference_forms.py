@@ -22,7 +22,6 @@ from tkgdistill.encoder import (
 )
 from tkgdistill.numerics import add_rows_at
 from tkgdistill.scoring import (
-    NegativeSamplerConfig,
     reasoning_loss_bwd,
     reasoning_loss_fwd,
 )
@@ -90,7 +89,7 @@ def test_encoder_kernel_matches_whole_block_form(seed):
 def test_reasoning_loss_matches_whole_block_form(seed):
     kg, params = _kg_and_params(seed)
     batch = list(kg.quadruples)[:80]
-    neg = NegativeSamplerConfig(factor=5)
+    neg = 5
 
     def run(fwd, bwd):
         loss, cache = fwd(

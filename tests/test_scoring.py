@@ -5,7 +5,6 @@ from scalar_reference import reasoning_loss, score_quadruple
 from tkgdistill.encoder import init_network_params
 from tkgdistill.numerics import grad_check
 from tkgdistill.scoring import (
-    NegativeSamplerConfig,
     _intern_rows,
     reasoning_loss_bwd,
     reasoning_loss_fwd,
@@ -38,12 +37,16 @@ class TestScore:
 
 
 class TestNegativeSampler:
-    def test_factor_validated(self):
-        with pytest.raises(ValueError):
-            NegativeSamplerConfig(factor=0)
+    def test_factor_validated(self, toy_params, toy_kg):
+        for negatives in (0, -1):
+            with pytest.raises(ValueError, match="negatives must be >= 1"):
+                reasoning_loss_fwd(
+                    toy_params, toy_kg, list(toy_kg.quadruples[:2]), negatives,
+                    0.5, np.random.default_rng(0), b=4,
+                )
 
     def test_negatives_never_true_object(self, toy_params, toy_kg):
-        neg = NegativeSamplerConfig(6)
+        neg = 6
         rng = np.random.default_rng(3)
         _, cache = reasoning_loss_fwd(
             toy_params, toy_kg, list(toy_kg.quadruples[:8]), neg, 0.5, rng, b=4
@@ -94,7 +97,7 @@ class TestInterning:
         assert np.array_equal(neg_rows, want_neg)
 
     def test_loss_cache_row_count(self, toy_params, toy_kg):
-        neg = NegativeSamplerConfig(5)
+        neg = 5
         batch = list(toy_kg.quadruples[:9])
         _, cache = reasoning_loss_fwd(
             toy_params, toy_kg, batch, neg, 0.5, np.random.default_rng(4), b=4
@@ -107,7 +110,7 @@ class TestReasoningLoss:
     def test_inactive_hinge_is_zero(self, toy_kg):
         # margin so small every positive beats its negatives by more than it
         params = init_network_params(7, 3, 6, seed=4, dropout_rate=0.0)
-        neg = NegativeSamplerConfig(3)
+        neg = 3
         loss = reasoning_loss(params, toy_kg, list(toy_kg.quadruples[:5]), neg, 1e-12)
         # hinge can still be active by chance; check non-negativity instead
         assert loss >= 0.0
@@ -116,7 +119,7 @@ class TestReasoningLoss:
         # identical embeddings for every entity: f(pos) = f(neg) always
         params = init_network_params(7, 3, 6, seed=5, dropout_rate=0.0)
         params.entity_emb[:] = params.entity_emb[0]
-        neg = NegativeSamplerConfig(4)
+        neg = 4
         margin = 0.37
         loss = reasoning_loss(params, toy_kg, list(toy_kg.quadruples[:6]), neg, margin,
                               seed=1)
@@ -124,19 +127,16 @@ class TestReasoningLoss:
 
     def test_empty_batch_raises(self, toy_params, toy_kg):
         with pytest.raises(ValueError):
-            reasoning_loss(
-                toy_params, toy_kg, [], NegativeSamplerConfig(2), 0.5
-            )
+            reasoning_loss(toy_params, toy_kg, [], 2, 0.5)
 
     def test_matches_bruteforce_recomputation(self, toy_kg):
         """Independent re-evaluation: enumerate the same seeded negatives and
         rebuild the mean hinge from individual quadruple scores."""
         params = init_network_params(7, 3, 4, seed=6, dropout_rate=0.0)
         batch = list(toy_kg.quadruples[:5])
-        neg_cfg = NegativeSamplerConfig(3)
         rng = np.random.default_rng(9)
         loss, cache = reasoning_loss_fwd(
-            params, toy_kg, batch, neg_cfg, 0.5, rng, b=4
+            params, toy_kg, batch, 3, 0.5, rng, b=4
         )
 
         forms, negs, valid = cache["forms"], cache["negs"], cache["valid"]
@@ -160,7 +160,7 @@ class TestReasoningLoss:
         assert loss == pytest.approx(total / count, rel=1e-12)
 
     def test_deterministic_for_fixed_seed(self, toy_params, toy_kg):
-        neg = NegativeSamplerConfig(4)
+        neg = 4
         batch = list(toy_kg.quadruples[:6])
         a = reasoning_loss(toy_params, toy_kg, batch, neg, 0.5, seed=11)
         b = reasoning_loss(toy_params, toy_kg, batch, neg, 0.5, seed=11)
@@ -170,7 +170,7 @@ class TestReasoningLoss:
         # inflating the true object's representation quality cannot raise the
         # loss: check via margin perturbation instead (monotone in margin)
         params = init_network_params(7, 3, 6, seed=8, dropout_rate=0.0)
-        neg = NegativeSamplerConfig(4)
+        neg = 4
         batch = list(toy_kg.quadruples[:6])
         small = reasoning_loss(params, toy_kg, batch, neg, 0.1, seed=2)
         large = reasoning_loss(params, toy_kg, batch, neg, 0.9, seed=2)
@@ -182,7 +182,7 @@ class TestReasoningLoss:
     ):
         block = toy_kg.events[:7]
         quads = [Quadruple(*row) for row in block.tolist()]
-        neg = NegativeSamplerConfig(3)
+        neg = 3
         (loss_a, cache_a), (loss_b, cache_b) = (
             reasoning_loss_fwd(toy_params, toy_kg, batch, neg, 0.5,
                                np.random.default_rng(5), b=4)
@@ -204,7 +204,7 @@ class TestReasoningGradients:
         kg = random_kg(rng, n_entities=6, horizon=8, n_events=20)
         params = init_network_params(6, 3, 5, seed=seed + 50, dropout_rate=0.0)
         batch = list(kg.quadruples[:4])
-        neg = NegativeSamplerConfig(3)
+        neg = 3
         margin = 0.5003  # off the hinge kink
 
         def lg(p):
